@@ -5,8 +5,9 @@ values, fan out over (x, k) grids, and serialize CSV/JSON.  Numbers are
 written with 17 significant digits so double precision round-trips, and
 output is byte-stable for identical configurations.
 
-Exit codes: 0 success, 1 usage error, 2 numerical non-convergence or a
-failed verification suite, 3 I/O error.
+Exit codes: 0 success, 1 usage error or an argument outside the domain of
+the library (one line on stderr), 2 numerical non-convergence or a failed
+verification suite, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -75,8 +76,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def finite(text: str) -> float:
+    """float(text), refusing nan and infinities (its name shows in errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value %r" % text.strip())
+    return value
+
+
 def _parse_values(text: str):
-    """Parse '0.5,1,2' or 'start:stop:step' (inclusive stop, within 1e-9)."""
+    """Parse '0.5,1,2' or 'start:stop:step' (inclusive stop, within 1e-9).
+
+    Every value must be finite.
+    """
     text = text.strip()
     if not text:
         raise UsageError("empty value list")
@@ -85,12 +97,12 @@ def _parse_values(text: str):
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("range needs start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = (finite(p) for p in parts)
             if step == 0 or (stop - start)*step < 0:
                 raise ValueError("inconsistent range direction")
             n = int(math.floor((stop - start)/step + 1e-9)) + 1
             return [start + i*step for i in range(n)]
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [finite(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError("cannot parse values %r: %s" % (text, exc))
 
@@ -283,7 +295,7 @@ def _build_parser() -> _Parser:
     field.add_argument("--x", required=True)
     field.add_argument("--y", required=True)
     field.add_argument("--t", required=True)
-    field.add_argument("--k", required=True, type=float)
+    field.add_argument("--k", required=True, type=finite)
     field.add_argument("--out")
     field.set_defaults(func=_cmd_beam_field)
     onray = beam.add_parser("on-ray", help="beam value along the ray")
@@ -298,7 +310,7 @@ def _build_parser() -> _Parser:
     w.add_argument("--k", default="1000")
     w.add_argument("--method", default="closed",
                    choices=["closed", "u-integral", "z-integral", "spectral"])
-    w.add_argument("--tol", type=float, default=1e-8)
+    w.add_argument("--tol", type=finite, default=1e-8)
     w.add_argument("--out")
     w.add_argument("--format", choices=["csv"], default="csv")
     w.add_argument("--threads", type=int, default=None)
@@ -323,6 +335,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:  # DomainError and the other argument checks
+        print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)

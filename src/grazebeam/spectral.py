@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from . import airy
 from .errors import BranchError, DomainError
@@ -132,25 +131,38 @@ def zeta_power_3_2(z: ZetaValue) -> complex:
     return scale*np.exp(-0.5j*np.pi)*rad**1.5
 
 
+#: points per block of the quotient evaluation (about 32 nu-rows at k = 1e3)
+_QUOTIENT_BLOCK = 1 << 17
+
+
 def airy_quotient(x, mu, nu, k: float):
     """Ai(zeta(x, k mu, k nu)) / Ai(zeta(0, k mu, k nu)), array-safe and stable.
 
-    Uses exponentially scaled Airy values so the quotient stays
-    representable when both numerator and denominator grow beyond double
-    range (large |zeta| with mu^2 > nu^2).
+    Both arguments lie on the ray e^{-i pi/3} q with q real: q = (|nu| k)^{2/3}
+    (1 + x - mu^2/nu^2) and the same without x.  The exponentially scaled
+    values of :func:`airy.ai_scaled_on_ray` keep the quotient representable
+    when numerator and denominator leave double range (large |zeta| with
+    mu^2 > nu^2).  Arrays are evaluated in blocks of leading-axis rows, so
+    temporaries stay block-sized whatever the grid.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    x, mu, nu = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                      for a in (x, mu, nu)))
     if np.any(nu >= 0):
         raise DomainError("airy_quotient is implemented for nu < 0")
-    beta = (np.abs(nu)*k)**(2.0/3.0)*np.exp(-1j*np.pi/3.0)
-    zx = beta*(1.0 + x - (mu/nu)**2)
-    z0 = beta*(1.0 - (mu/nu)**2)
-    eax = sp.airye(zx)[0]
-    ea0 = sp.airye(z0)[0]
-    # airye scales by exp((2/3) z^{3/2}) on the principal branch
-    expo = (2.0/3.0)*(zx*np.sqrt(zx) - z0*np.sqrt(z0))
-    return eax/ea0*np.exp(-expo)
+    shape = mu.shape
+    x, mu, nu = (np.atleast_1d(a) for a in (x, mu, nu))
+    out = np.empty(mu.shape, dtype=complex)
+    rows = max(1, _QUOTIENT_BLOCK//max(1, mu[:1].size))
+    for i in range(0, len(mu), rows):
+        blk = slice(i, i + rows)
+        n = nu[blk]
+        scale = (-n*k)**(2.0/3.0)
+        m2 = (mu[blk]/n)**2
+        qx = scale*(1.0 + x[blk] - m2)
+        q0 = scale*(1.0 - m2)
+        out[blk] = (airy.ai_scaled_on_ray(qx)/airy.ai_scaled_on_ray(q0)
+                    * np.exp(airy.ray_exponent(q0) - airy.ray_exponent(qx)))
+    return out.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

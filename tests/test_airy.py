@@ -1,8 +1,9 @@
 """Airy kernel: values, rotation, Wronskian, asymptotics, ratio."""
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import airye, gamma
 
 from grazebeam import airy
 from grazebeam.errors import DegeneracyError, DomainError
@@ -152,3 +153,47 @@ class TestRatio:
         vec = airy.airy_ratio(zs)
         for i, z in enumerate(zs):
             assert vec[i] == airy.airy_ratio(complex(z))
+
+
+def _scaled_ai_mpmath(q):
+    """Ai(z) exp((2/3) z^{3/2}) at z = e^{-i pi/3} q in 40-digit arithmetic."""
+    with mp.workdps(40):
+        z = mp.exp(-1j*mp.pi/3)*mp.mpf(q)
+        return complex(mp.airyai(z)*mp.exp(mp.mpf(2)/3*z**mp.mpf(1.5)))
+
+
+# both sides of the branch switch |q| = RAY_RADIUS, on both halves of the ray
+_R = airy.RAY_RADIUS
+_RAY_EDGES = [s*r for s in (-1.0, 1.0)
+              for r in (_R*(1.0 - 1e-12), _R, _R*(1.0 + 1e-12), _R - 1e-3,
+                        _R + 1e-3)]
+
+
+class TestScaledOnRay:
+    @pytest.mark.parametrize("q", list(np.linspace(-60.0, 60.0, 121))
+                             + _RAY_EDGES
+                             + [0.0, 1e-300, -1e-300, 1e-8, -1e-8])
+    def test_matches_mpmath(self, q):
+        ref = _scaled_ai_mpmath(q)
+        got = airy.ai_scaled_on_ray(q)
+        assert abs(got - ref) <= 1e-12*abs(ref)
+
+    def test_zero_is_ai0(self):
+        assert abs(airy.ai_scaled_on_ray(0.0) - AI0) <= 1e-15
+
+    def test_agrees_with_amos_on_mixed_array(self):
+        q = np.linspace(-40.0, 40.0, 2001).reshape(3, 667)
+        ref = airye(np.exp(-1j*np.pi/3)*q)[0]
+        got = airy.ai_scaled_on_ray(q)
+        assert got.shape == q.shape
+        assert np.max(np.abs(got - ref)/np.abs(ref)) <= 1e-12
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(airy.ai_scaled_on_ray(3.0)) == 0
+        assert np.ndim(airy.ai_scaled_on_ray(30.0)) == 0
+
+    def test_ray_exponent_is_principal_branch(self):
+        q = np.array([-20.0, -1.0, 0.0, 1.0, 20.0])
+        z = np.exp(-1j*np.pi/3)*q
+        ref = (2.0/3.0)*z*np.sqrt(z)
+        assert np.allclose(airy.ray_exponent(q), ref, rtol=1e-14, atol=0.0)

@@ -128,6 +128,43 @@ class TestGrazeReflected:
         assert code == 1
 
 
+class TestInvalidInput:
+    """Bad values give exit 1 and one line on stderr, never a row or traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("graze", "w", "--x", "nan", "--method", "closed"),
+        ("graze", "w", "--x", "0.5,inf", "--method", "closed"),
+        ("graze", "w", "--x", "0:inf:1", "--method", "closed"),
+        ("graze", "w", "--x", "1", "--k", "nan", "--method", "u-integral"),
+        ("graze", "w", "--x", "1", "--tol", "nan", "--method", "u-integral"),
+        ("beam", "field", "--x", "0", "--y", "0", "--t", "0", "--k", "nan"),
+        ("ray", "trace", "--y=-inf"),
+    ])
+    def test_non_finite_values_rejected(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "non-finite" in captured.err or "finite value" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("graze", "w", "--x", "-1", "--k", "1000", "--method", "u-integral"),
+        ("graze", "w", "--x", "1", "--k", "5", "--method", "u-integral"),
+        ("graze", "w", "--x", "-1", "--k", "1000", "--method", "u-integral",
+         "--threads", "2"),
+        ("graze", "reflected", "--x", "-0.5"),
+        ("beam", "field", "--x", "0", "--y", "0", "--t", "0", "--k", "-1"),
+    ])
+    def test_library_domain_errors_exit_1(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestVerify:
     def test_appendix2_check_names(self, capsys):
         code, out = run_cli(capsys, "verify", "appendix2")

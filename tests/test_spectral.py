@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from grazebeam import airy, spectral
 from grazebeam.errors import BranchError, DomainError
@@ -72,6 +73,79 @@ class TestZetaPower:
             spectral.zeta_power_3_2(zv)
         with pytest.raises(DomainError):
             spectral.zeta_power_3_2(spectral.zeta(0.5, 1.0, -1.0))
+
+
+def _quotient_two_airye(x, mu, nu, k):
+    """The quotient from two AMOS calls on the full grid (the earlier formula)."""
+    beta = (np.abs(nu)*k)**(2.0/3.0)*np.exp(-1j*np.pi/3.0)
+    zx = beta*(1.0 + x - (mu/nu)**2)
+    z0 = beta*(1.0 - (mu/nu)**2)
+    expo = (2.0/3.0)*(zx*np.sqrt(zx) - z0*np.sqrt(z0))
+    return (scipy.special.airye(zx)[0]/scipy.special.airye(z0)[0]
+            * np.exp(-expo))
+
+
+def _quotient_grid(rows, cols, k):
+    """An oracle-like (nu, s) grid: nu-rows near -1, s across both signs."""
+    nu = np.linspace(-1.4, -0.6, rows)[:, None]
+    s = np.linspace(-2.0, 1.0, cols)[None, :]
+    mu = s - nu
+    return mu, np.broadcast_to(nu, mu.shape)
+
+
+class TestAiryQuotient:
+    @pytest.mark.parametrize("k", [30.0, 300.0, 1000.0])
+    def test_matches_two_airye_formula(self, k, monkeypatch):
+        # 3 rows per block, 8 rows: two full blocks and a partial one
+        monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", 3*41)
+        mu, nu = _quotient_grid(8, 41, k)
+        got = spectral.airy_quotient(0.8, mu, nu, k)
+        ref = _quotient_two_airye(0.8, mu, nu, k)
+        assert got.shape == mu.shape
+        # elementwise, so that quotients both routes underflow to 0 agree
+        assert np.all(np.abs(got - ref) <= 1e-12*np.abs(ref))
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        mu, nu = _quotient_grid(7, 50, 300.0)
+        whole = spectral.airy_quotient(1.0, mu, nu, 300.0)
+        monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", 2*50)
+        blocked = spectral.airy_quotient(1.0, mu, nu, 300.0)
+        assert np.allclose(blocked, whole, rtol=1e-15, atol=0.0)
+
+    def test_one_row_and_one_dimensional_grids(self):
+        mu, nu = _quotient_grid(1, 60, 300.0)
+        ref = _quotient_two_airye(0.5, mu, nu, 300.0)
+        two_d = spectral.airy_quotient(0.5, mu, nu, 300.0)
+        one_d = spectral.airy_quotient(0.5, mu[0], nu[0], 300.0)
+        assert two_d.shape == (1, 60) and one_d.shape == (60,)
+        assert np.allclose(two_d[0], one_d, rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(one_d - ref[0]) <= 1e-12*np.abs(ref[0]))
+
+    def test_scalar_inputs(self):
+        got = spectral.airy_quotient(0.5, 0.9, -1.0, 300.0)
+        ref = _quotient_two_airye(0.5, 0.9, -1.0, 300.0)
+        assert np.ndim(got) == 0
+        assert abs(got - ref) <= 1e-12*abs(ref)
+
+    def test_x_broadcasts_with_the_grid(self):
+        mu, nu = _quotient_grid(3, 5, 100.0)
+        xs = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+        got = spectral.airy_quotient(xs, mu, nu, 100.0)
+        for j, x in enumerate(xs):
+            col = spectral.airy_quotient(x, mu[:, j], nu[:, j], 100.0)
+            assert np.allclose(got[:, j], col, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, np.array([-1.0, -0.9, 0.0])])
+    def test_nonnegative_nu_raises(self, nu):
+        with pytest.raises(DomainError):
+            spectral.airy_quotient(0.5, 0.9, nu, 300.0)
+
+    def test_oracle_path_avoids_amos(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sp.airye called on the oracle path")
+        monkeypatch.setattr(scipy.special, "airye", refuse)
+        res = spectral.exact_solution(0.5, 1.0, 1.0, 60.0)
+        assert np.isfinite(res.value)
 
 
 class TestBoundaryHatFrozen:
