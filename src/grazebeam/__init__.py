@@ -18,6 +18,10 @@ stationary  stationary-phase data, steepest descent, Taylor ladders
 grazing     the one-dimensional amplitude integrals and closed forms
 quadrature  damped-oscillatory adaptive quadrature and contour rotation
 verification  named check suites behind the ``grazebeam verify`` command
+fd          finite-difference stencils and Richardson extrapolation
+errors      exception types: domain, degeneracy, branch, contour, convergence
+cli         the ``grazebeam`` command line (``ray``, ``beam``, ``graze``,
+            ``verify``)
 """
 
 from . import (airy, grazing, quadrature, raybeam, spectral, stationary,

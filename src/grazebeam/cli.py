@@ -43,20 +43,16 @@ class UsageError(Exception):
 class RunConfig:
     """Validated grid configuration for the amplitude-sweep commands."""
 
-    command: str
     x_values: List[float]
     k_values: List[Optional[float]]
     method: str
     tol: float
     output_path: Optional[str]
-    output_format: str
     thread_budget: int
 
     def __post_init__(self):
         if self.tol <= 0:
             raise UsageError("tol must be positive")
-        if not self.x_values:
-            raise UsageError("need at least one x value")
         if any(k is not None and k <= 0 for k in self.k_values):
             raise UsageError("k values must be positive")
         if self.method not in _METHODS:
@@ -87,11 +83,9 @@ def finite(text: str) -> float:
 def _parse_values(text: str):
     """Parse '0.5,1,2' or 'start:stop:step' (inclusive stop, within 1e-9).
 
-    Every value must be finite.
+    Every value must be finite, and there must be at least one.
     """
     text = text.strip()
-    if not text:
-        raise UsageError("empty value list")
     try:
         if ":" in text:
             parts = text.split(":")
@@ -102,9 +96,12 @@ def _parse_values(text: str):
                 raise ValueError("inconsistent range direction")
             n = int(math.floor((stop - start)/step + 1e-9)) + 1
             return [start + i*step for i in range(n)]
-        return [finite(p) for p in text.split(",") if p.strip()]
+        values = [finite(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError("cannot parse values %r: %s" % (text, exc))
+    if not values:
+        raise UsageError("need at least one value, got %r" % text)
+    return values
 
 
 def _fmt(v) -> str:
@@ -129,11 +126,11 @@ def _emit(lines, out_path):
 
 def _thread_budget(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get("GRAZEBEAM_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise UsageError("GRAZEBEAM_THREADS must be an integer")
     return 1
@@ -219,14 +216,12 @@ def _graze_cell(cell):
 
 def _cmd_graze_w(args) -> int:
     cfg = RunConfig(
-        command="graze w",
         x_values=_parse_values(args.x),
         k_values=(_parse_values(args.k) if args.method != "closed"
                   else [None]),
         method=args.method,
         tol=args.tol,
         output_path=args.out,
-        output_format=args.format,
         thread_budget=_thread_budget(args))
     cells = [(x, k, cfg.method, cfg.tol)
              for x in cfg.x_values for k in cfg.k_values]
@@ -248,8 +243,6 @@ def _cmd_graze_w(args) -> int:
 
 def _cmd_graze_reflected(args) -> int:
     xs = _parse_values(args.x)
-    if not xs:
-        raise UsageError("need at least one x value")
     lines = ["x,abs_v,abs_w,abs_v_minus_w,ratio"]
     for x in xs:
         v = raybeam.beam_on_ray(x)
@@ -308,11 +301,9 @@ def _build_parser() -> _Parser:
     w = graze.add_parser("w", help="reflected amplitude by method")
     w.add_argument("--x", required=True)
     w.add_argument("--k", default="1000")
-    w.add_argument("--method", default="closed",
-                   choices=["closed", "u-integral", "z-integral", "spectral"])
+    w.add_argument("--method", default="closed", choices=_METHODS)
     w.add_argument("--tol", type=finite, default=1e-8)
     w.add_argument("--out")
-    w.add_argument("--format", choices=["csv"], default="csv")
     w.add_argument("--threads", type=int, default=None)
     w.set_defaults(func=_cmd_graze_w)
     refl = graze.add_parser("reflected", help="emerging-amplitude curve")
@@ -323,7 +314,6 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="verification suites")
     ver.add_argument("suite", choices=sorted(verification.SUITES))
     ver.add_argument("--out")
-    ver.add_argument("--format", choices=["json"], default="json")
     ver.set_defaults(func=_cmd_verify)
     return p
 

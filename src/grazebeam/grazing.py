@@ -109,14 +109,15 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
                          abs(c)/x**0.25*res.error_estimate)
 
 
-def _clamped_reduced(x: float, y: float, t: float, k: float):
-    """Reduced integrand extended by zero outside the admissible z-range.
+def _z_route(x: float, y: float, t: float, k: float, tol: float):
+    """Integrate the reduced integrand over z at (x, y, t): the z-route.
 
-    The one-dimensional reduction is valid for y - z inside
-    (0, 2 sqrt(1+x)); beyond the turning point the stationary root leaves
-    the real axis.  The quartic damping makes the clipped tail negligible
-    relative to the route's own O(k^{-1/2}) accuracy whenever the window
-    reaches that far (only at moderate k).
+    The integrand is extended by zero outside the admissible z-range: the
+    one-dimensional reduction is valid for y - z inside (0, 2 sqrt(1+x));
+    beyond the turning point the stationary root leaves the real axis.  The
+    quartic damping makes the clipped tail negligible relative to the
+    route's own O(k^{-1/2}) accuracy whenever the window reaches that far
+    (only at moderate k).
     """
     z_lo = y - 2.0*math.sqrt(1.0 + x)*(1.0 - 1e-9)
     z_hi = y - 1e-9
@@ -129,7 +130,10 @@ def _clamped_reduced(x: float, y: float, t: float, k: float):
             out[ok] = reduced_integrand(x, y, t, k, z[ok])
         return out
 
-    return f
+    damping = DampingProfile(0.8*k/32.0, 4, scale=k**0.25)
+    radius = truncation_radius(damping.coefficient, 4, tol/10.0)
+    osc = k*(abs(quartic_coefficient(x))*4.0*radius**3 + radius) + 1.0
+    return integrate_1d(IntegrandSpec(f, damping, osc), tol)
 
 
 def z_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
@@ -137,12 +141,7 @@ def z_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
     if x <= 0:
         raise DomainError("x must be positive")
     y = 2.0*math.sqrt(x)
-    t = y + y**3/12.0
-    damping = DampingProfile(0.8*k/32.0, 4, scale=k**0.25)
-    radius = truncation_radius(damping.coefficient, 4, tol/10.0)
-    osc = k*(abs(quartic_coefficient(x))*4.0*radius**3 + radius) + 1.0
-    res = integrate_1d(
-        IntegrandSpec(_clamped_reduced(x, y, t, k), damping, osc), tol)
+    res = _z_route(x, y, y + y**3/12.0, k, tol)
     return GrazingResult(x, k, complex(res.value), "z-integral",
                          float(res.error_estimate))
 
@@ -221,15 +220,9 @@ def derivative_consistency(x: float, k: float,
         raise DomainError("x must be positive")
     y = 2.0*math.sqrt(x)
     t = y + y**3/12.0
-    tol = 1e-8
 
     def wz(xx, yy):
-        damping = DampingProfile(0.8*k/32.0, 4, scale=k**0.25)
-        radius = truncation_radius(damping.coefficient, 4, tol/10.0)
-        osc = k*(abs(quartic_coefficient(xx))*4.0*radius**3 + radius) + 1.0
-        return integrate_1d(
-            IntegrandSpec(_clamped_reduced(xx, yy, t, k), damping, osc),
-            tol).value
+        return _z_route(xx, yy, t, k, 1e-8).value
 
     w0 = wz(x, y)
     dwx = (wz(x + step, y) - wz(x - step, y))/(2.0*step)

@@ -28,6 +28,7 @@ __all__ = [
     "QuadratureResult",
     "integrate_1d",
     "integrate_nd",
+    "kronrod_panels",
     "rotated_ray_integral",
     "truncation_radius",
 ]
@@ -134,19 +135,30 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
     return hi
 
 
+def kronrod_panels(lefts: np.ndarray, rights: np.ndarray):
+    """The K15/G7 layout on panels [lefts[i], rights[i]].
+
+    Returns the nodes (panels x 15), the half-widths, and the Kronrod and
+    embedded-Gauss weights on [-1, 1] in node order (Gauss weights are zero
+    off the Gauss nodes): panel i integrates f to
+    half[i] * sum_j w[j] f(nodes[i, j]).
+    """
+    half = 0.5*(rights - lefts)
+    mid = 0.5*(rights + lefts)
+    return mid[:, None] + half[:, None]*_NODES, half, _WK_FULL, _WG_FULL
+
+
 def _panel_sums(f: Callable[[np.ndarray], np.ndarray],
                 lefts: np.ndarray, rights: np.ndarray):
     """Kronrod and Gauss sums plus error estimates for a batch of panels."""
-    half = 0.5*(rights - lefts)
-    mid = 0.5*(rights + lefts)
-    pts = mid[:, None] + half[:, None]*_NODES[None, :]
+    pts, half, wk, wg = kronrod_panels(lefts, rights)
     vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
-    k15 = (vals @ _WK_FULL)*half
-    g7 = (vals @ _WG_FULL)*half
+    k15 = (vals @ wk)*half
+    g7 = (vals @ wg)*half
     return k15, np.abs(k15 - g7)
 
 
-def _adapt(f, lo, hi, tol, oscillation_scale, radius):
+def _adapt(f, lo, hi, tol, oscillation_scale):
     n0 = int(np.clip(math.ceil((hi - lo)*oscillation_scale/(2*math.pi)/1.5),
                      8, 4096))
     edges = np.linspace(lo, hi, n0 + 1)
@@ -190,7 +202,7 @@ def integrate_1d(spec: IntegrandSpec, tol: float) -> QuadratureResult:
         raise TypeError("integrate_1d expects a single DampingProfile")
     R = truncation_radius(prof.coefficient, prof.power, tol/10.0, prof.scale)
     value, err, n, ok = _adapt(spec.evaluator, prof.center - R,
-                               prof.center + R, tol, spec.oscillation_scale, R)
+                               prof.center + R, tol, spec.oscillation_scale)
     result = QuadratureResult(value, err, R, n, ok)
     if not ok:
         raise NonConvergenceError(
@@ -277,7 +289,7 @@ def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,
             "integrand grows along the rotated ray (|f(0.9R..R)| ~ %.2e vs "
             "head %.2e)" % (probe.max(), ref))
 
-    value, err, n, ok = _adapt(along, 0.0, R, tol, spec.oscillation_scale, R)
+    value, err, n, ok = _adapt(along, 0.0, R, tol, spec.oscillation_scale)
     result = QuadratureResult(value, err, R, n, ok)
     if not ok:
         raise NonConvergenceError("rotated-ray panel budget exhausted",

@@ -42,6 +42,7 @@ __all__ = [
     "beam_on_ray",
     "beam_phase",
     "central_ray",
+    "closed_frame",
     "eikonal_residual",
     "flow_general",
     "hamiltonian",
@@ -136,22 +137,31 @@ def variational_matrices(y: float):
     return V, W
 
 
-def _det_v(y: float) -> complex:
-    return 1.0 + y*y + 1j*y**3/4.0
+def closed_frame(y):
+    """D = det V, M = W V^{-1} = (i/D) N(y) and a = D^{-1/2} of the closed form.
 
-
-def beam_matrix(y: float) -> BeamFrame:
-    """BeamFrame at parameter y; M from the closed form, a on the branch a(0)=1.
-
+    Plain arithmetic, elementwise in ``y`` (a float or an ndarray): M has
+    shape (2, 2) + shape(y), so M[0, 0], M[0, 1], M[1, 1] are the entries.
     Re D = 1 + y^2 >= 1 for real y, so the principal square root of D is
     already the continuous branch and a = D^{-1/2} needs no unwinding.
     """
+    D = 1.0 + y*y + 1j*y**3/4.0
+    n12 = -y - 1j*y*y/2.0
+    M = (1j/D)*np.array([[1.0 - 1j*y + y*y + 1j*y**3/4.0, n12],
+                         [n12, 1.0 + 1j*y]])
+    return D, M, D**-0.5
+
+
+def _det_v_prime(y):
+    """dD/dy = 2y + 3i y^2/4."""
+    return 2.0*y + 0.75j*y*y
+
+
+def beam_matrix(y: float) -> BeamFrame:
+    """BeamFrame at parameter y; M from the closed form, a on the branch a(0)=1."""
     V, W = variational_matrices(y)
-    D = _det_v(y)
-    M = (1j/D)*np.array(
-        [[1.0 - 1j*y + y*y + 1j*y**3/4.0, -y - 1j*y*y/2.0],
-         [-y - 1j*y*y/2.0, 1.0 + 1j*y]], dtype=complex)
-    return BeamFrame(V, W, M, D, D**-0.5)
+    D, M, a = closed_frame(y)
+    return BeamFrame(V, W, M, D, a)
 
 
 def beam_phase(x: float, y: float, t: float) -> complex:
@@ -164,22 +174,18 @@ def beam_phase(x: float, y: float, t: float) -> complex:
             + 0.5*(M[0, 0]*dx*dx + 2.0*M[0, 1]*dx*dt + M[1, 1]*dt*dt))
 
 
-def _m_prime(y: float) -> np.ndarray:
-    """d/dy of the closed-form M(y)."""
-    D = _det_v(y)
-    Dp = 2.0*y + 0.75j*y*y
-    N = np.array([[1.0 - 1j*y + y*y + 1j*y**3/4.0, -y - 1j*y*y/2.0],
-                  [-y - 1j*y*y/2.0, 1.0 + 1j*y]], dtype=complex)
-    Np = np.array([[-1j + 2.0*y + 0.75j*y*y, -1.0 - 1j*y],
-                   [-1.0 - 1j*y, 1j]], dtype=complex)
-    return (1j/D)*(Np - (Dp/D)*N)
+def _m_prime(y: float, D: complex, M: np.ndarray) -> np.ndarray:
+    """d/dy of M = i N/D at y, given D and M there: (i N' - D' M)/D."""
+    Dp = _det_v_prime(y)
+    Np = np.array([[Dp - 1j, -1.0 - 1j*y], [-1.0 - 1j*y, 1j]])
+    return (1j*Np - Dp*M)/D
 
 
 def psi_gradient(x: float, y: float, t: float):
     """Analytic (psi_x, psi_y, psi_t); the quadratic form is differentiated exactly."""
     frame = beam_matrix(y)
     p = central_ray(y)
-    M, Mp = frame.M, _m_prime(y)
+    M, Mp = frame.M, _m_prime(y, frame.D, frame.M)
     u = np.array([x - p.x, t - p.t], dtype=complex)
     qp = np.array([y/2.0, 1.0 + y*y/4.0])       # (x'(y), t'(y))
     pp = np.array([0.5, 0.0])                   # (xi'(y), tau'(y))
@@ -220,13 +226,10 @@ def transport_residual(y: float) -> complex:
     not vanish (it equals -i/2 at y = 0); the quantity is reported as is.
     """
     frame = beam_matrix(y)
-    D = frame.D
-    Dp = 2.0*y + 0.75j*y*y
-    a = frame.a
-    ap = -0.5*Dp*D**-1.5
+    ap = -0.5*_det_v_prime(y)*frame.D**-1.5
     x = y*y/4.0
     coeff = (1.0 + x)*frame.M[1, 1] - frame.M[0, 0] - psi_yy_on_ray(y)
-    return ap + 0.5*coeff*a
+    return ap + 0.5*coeff*frame.a
 
 
 def beam_field(x: float, y: float, t: float, k: float) -> complex:

@@ -32,10 +32,10 @@ import numpy as np
 from . import airy
 from .errors import BranchError, DomainError
 from .quadrature import (DampingProfile, IntegrandSpec, QuadratureResult,
-                         integrate_1d, truncation_radius)
+                         integrate_1d, kronrod_panels, truncation_radius)
+from .raybeam import closed_frame
 
 __all__ = [
-    "SpectralCoords",
     "ZetaValue",
     "airy_quotient",
     "amplitude_Z",
@@ -55,28 +55,13 @@ __all__ = [
 
 _OMEGA = airy.OMEGA
 
+#: e^{-i pi/3}: zeta = e^{-i pi/3} q on the bounded branch for tau < 0
+_RAY = np.exp(-1j*np.pi/3.0)
+
 
 def neg_power(nu, alpha: float):
     """|nu|^alpha for real nu < 0, continued as (-nu)^alpha (principal) off axis."""
     return np.asarray(-nu, dtype=complex)**alpha if np.ndim(nu) else (-nu + 0j)**alpha
-
-
-@dataclass(frozen=True)
-class SpectralCoords:
-    """Stretched frequency variables (mu, nu), with s = mu + nu and k > 0."""
-
-    mu: float
-    nu: float
-    k: float
-    T: float = 0.0
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-
-    @property
-    def s(self) -> float:
-        return self.mu + self.nu
 
 
 @dataclass(frozen=True)
@@ -111,8 +96,22 @@ def zeta_scaled(x: float, mu: float, nu: float, k: float) -> ZetaValue:
         raise DomainError("scaled regime requires nu < 0")
     if k <= 0:
         raise ValueError("k must be positive")
-    beta = (abs(nu)*k)**(2.0/3.0)*np.exp(-1j*np.pi/3.0)
-    return ZetaValue(beta*(1.0 + x - mu*mu/(nu*nu)), beta, "scaled-near-nu=-1")
+    scale, qx, _ = _scaled_branch(x, mu, nu, k)
+    return ZetaValue(_RAY*qx, _RAY*scale, "scaled-near-nu=-1")
+
+
+def _scaled_branch(x, mu, nu, k: float):
+    """(s, q(x), q(0)) of the bounded branch at (eta, tau) = k (mu, nu).
+
+    beta = (|nu| k)^{2/3} e^{-i pi/3} = e^{-i pi/3} s, and
+    zeta(x, k mu, k nu) = e^{-i pi/3} q(x) with q(x) = s (1 + x - mu^2/nu^2).
+    s and q are real for real nu < 0 (floats or arrays); complex nu
+    continues |nu|^{2/3} through :func:`neg_power`.
+    """
+    scale = (k**(2.0/3.0)*neg_power(nu, 2.0/3.0) if np.iscomplexobj(nu)
+             else (-nu*k)**(2.0/3.0))
+    m2 = (mu/nu)**2
+    return scale, scale*(1.0 + x - m2), scale*(1.0 - m2)
 
 
 def zeta_power_3_2(z: ZetaValue) -> complex:
@@ -155,11 +154,7 @@ def airy_quotient(x, mu, nu, k: float):
     rows = max(1, _QUOTIENT_BLOCK//max(1, mu[:1].size))
     for i in range(0, len(mu), rows):
         blk = slice(i, i + rows)
-        n = nu[blk]
-        scale = (-n*k)**(2.0/3.0)
-        m2 = (mu[blk]/n)**2
-        qx = scale*(1.0 + x[blk] - m2)
-        q0 = scale*(1.0 - m2)
+        _, qx, q0 = _scaled_branch(x[blk], mu[blk], nu[blk], k)
         out[blk] = (airy.ai_scaled_on_ray(qx)/airy.ai_scaled_on_ray(q0)
                     * np.exp(airy.ray_exponent(q0) - airy.ray_exponent(qx)))
     return out.reshape(shape)[()]
@@ -168,16 +163,6 @@ def airy_quotient(x, mu, nu, k: float):
 # ---------------------------------------------------------------------------
 # boundary data
 # ---------------------------------------------------------------------------
-
-def _frame_entries(z):
-    """Vectorized closed-form beam-frame entries M11, M12, M22, a along y = z."""
-    z = np.asarray(z, dtype=float)
-    D = 1.0 + z*z + 0.25j*z**3
-    m11 = 1j*(1.0 - 1j*z + z*z + 0.25j*z**3)/D
-    m12 = 1j*(-z - 0.5j*z*z)/D
-    m22 = 1j*(1.0 + 1j*z)/D
-    return m11, m12, m22, D**-0.5
-
 
 def boundary_hat_frozen(eta: float, tau: float, k: float,
                         tol: float = 1e-8) -> float | complex:
@@ -222,9 +207,9 @@ def boundary_exponent_full(z, mu, nu):
     vertex entries M(0) = i I reduce it to the frozen form at z = 0.
     """
     z = np.asarray(z, dtype=float)
-    m11, m12, m22, _ = _frame_entries(z)
-    return (nu*(z + z**3/12.0) + mu*z + z**3/8.0 - z**4*m11/32.0
-            + (nu + 1.0 + z*z*m12/4.0)**2/(2.0*m22))
+    _, M, _ = closed_frame(z)
+    return (nu*(z + z**3/12.0) + mu*z + z**3/8.0 - z**4*M[0, 0]/32.0
+            + (nu + 1.0 + z*z*M[0, 1]/4.0)**2/(2.0*M[1, 1]))
 
 
 def boundary_prefactor_full(z, k: float):
@@ -232,8 +217,8 @@ def boundary_prefactor_full(z, k: float):
 
     Scaled by k^{1/2} it deviates from (2 pi)^{1/2} by O(z).
     """
-    _, _, m22, a = _frame_entries(z)
-    return np.sqrt(2.0*np.pi/(-1j*k*m22))*a
+    _, M, a = closed_frame(np.asarray(z, dtype=float))
+    return np.sqrt(2.0*np.pi/(-1j*k*M[1, 1]))*a
 
 
 def boundary_hat_full(eta: float, tau: float, k: float,
@@ -308,13 +293,10 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    beta = k**(2.0/3.0)*neg_power(nu, 2.0/3.0)*np.exp(-1j*np.pi/3.0)
-    ratio_sq = np.asarray(mu)**2/np.asarray(nu)**2
-    z0 = beta*(1.0 - ratio_sq)
-    zx = beta*(1.0 + x - ratio_sq)
+    _, qx, q0 = _scaled_branch(x, mu, nu, k)
     front = k**(11.0/6.0)/(np.sqrt(2.0)*(2.0*np.pi)**3*airy.WRONSKIAN_ZERO)
     return front*(1j*k**(1.0/3.0)*np.asarray(T)
-                  - _OMEGA*airy.airy_ratio(z0))*zx**-0.25
+                  - _OMEGA*airy.airy_ratio(_RAY*q0))*(_RAY*qx)**-0.25
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +329,12 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
 
 def _axis_nodes(lo, hi, rate_per_unit, k, max_panels=700):
     """Kronrod nodes/weights (K and G variants) tiling [lo, hi]."""
-    from .quadrature import _NODES, _WG_FULL, _WK_FULL
     cycles = (hi - lo)*rate_per_unit*k/(2.0*math.pi)
     n_panels = int(np.clip(math.ceil(cycles/1.5) + 2, 4, max_panels))
     edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5*np.diff(edges)
-    mid = 0.5*(edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None]*_NODES[None, :]).ravel()
-    wk = (half[:, None]*_WK_FULL[None, :]).ravel()
-    wg = (half[:, None]*_WG_FULL[None, :]).ravel()
-    return nodes, wk, wg, n_panels
+    nodes, half, wk, wg = kronrod_panels(edges[:-1], edges[1:])
+    return (nodes.ravel(), np.outer(half, wk).ravel(),
+            np.outer(half, wg).ravel(), n_panels)
 
 
 def exact_solution(x: float, y: float, t: float, k: float,

@@ -39,7 +39,6 @@ __all__ = [
     "quartic_coefficient",
     "reduced_integrand",
     "root_r",
-    "root_r_alternate",
     "series_phi",
     "series_r",
     "stationary_point",
@@ -101,23 +100,6 @@ def root_r(x: float, y: float, z):
     return float(r) if np.ndim(z) == 0 else r
 
 
-def root_r_alternate(x: float, y: float, z):
-    """The other quartic root (minus-discriminant branch).
-
-    Solves y - z + 2r [sqrt(x + 1 - r^2) + sqrt(1 - r^2)] = 0 with r < 0;
-    it does not enter the asymptotic pipeline (no leading-order
-    contribution) and is provided for completeness.
-    """
-    z = np.asarray(z, dtype=float)
-    yz = y - z
-    _check_region(x, yz)
-    if np.any((yz == 0.0) & (x == 0.0)):
-        raise DegeneracyError("root undefined at x = 0, y = z")
-    disc = np.sqrt(1.0 + x - yz*yz/4.0)
-    r = -np.sqrt((x/2.0 + 1.0 - disc)/(2.0*(x*x + yz*yz)))*yz
-    return float(r) if np.ndim(z) == 0 else r
-
-
 def stationary_point(x: float, y: float, z: float, nu: float,
                      t: float = 0.0) -> StationaryData:
     """Assemble the stationary data at (x, y, z) for real nu < 0.
@@ -141,17 +123,8 @@ def stationary_point(x: float, y: float, z: float, nu: float,
 
 
 def phi_sp(t: float, x: float, y: float, nu, z: float) -> complex:
-    """Phase at the stationary point:
-
-    Phi^sp = nu [t - z - z^3/12 + r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z)]
-             - z^3/8 + (i/2)[(nu+1)^2 + z^4/16].
-    """
-    if y == z:
-        raise DegeneracyError("phi_sp undefined at y = z")
-    r = root_r(x, y, z)
-    yz = y - z
-    return (nu*(t - z - z**3/12.0 + r*yz + yz**3/(48.0*r**3) + r*x*x/yz)
-            - z**3/8.0 + 0.5j*((nu + 1.0)**2 + z**4/16.0))
+    """Phase at the stationary point, Phi^sp = nu C + B + i (nu + 1)^2/2."""
+    return nu*C_of(x, y, z, t) + B_of_z(z) + 0.5j*(nu + 1.0)**2
 
 
 def hessian_J(x: float, nu, r) -> float | complex:
@@ -180,6 +153,18 @@ def B_of_z(z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
+def _stationary_sum(x: float, y: float, z: np.ndarray):
+    """r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z) at the admissible root r.
+
+    The y-dependent part of C and of phi; undefined at y = z.
+    """
+    yz = y - z
+    if np.any(yz == 0.0):
+        raise DegeneracyError("stationary phase undefined at y = z")
+    r = root_r(x, y, z)
+    return r*yz + yz**3/(48.0*r**3) + r*x*x/yz
+
+
 def C_of(x: float, y: float, z, t: float):
     """C(x, y, z, t) = t - z - z^3/12 + r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z).
 
@@ -187,11 +172,7 @@ def C_of(x: float, y: float, z, t: float):
     Phi^sp = nu C + B + i (nu + 1)^2/2.
     """
     z = np.asarray(z, dtype=float)
-    yz = y - z
-    if np.any(yz == 0.0):
-        raise DegeneracyError("C undefined at y = z")
-    r = root_r(x, y, z)
-    out = t - z - z**3/12.0 + r*yz + yz**3/(48.0*r**3) + r*x*x/yz
+    out = t - z - z**3/12.0 + _stationary_sum(x, y, z)
     return float(out) if np.ndim(z) == 0 else out
 
 
@@ -261,11 +242,7 @@ def series_r(x: float) -> SeriesCoefficients:
 def phi_reduced(x: float, y: float, z):
     """phi = -z + r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z) (array-safe)."""
     z = np.asarray(z, dtype=float)
-    yz = y - z
-    if np.any(yz == 0.0):
-        raise DegeneracyError("phi undefined at y = z")
-    r = root_r(x, y, z)
-    out = -z + r*yz + yz**3/(48.0*r**3) + r*x*x/yz
+    out = -z + _stationary_sum(x, y, z)
     return float(out) if np.ndim(z) == 0 else out
 
 

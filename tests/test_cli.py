@@ -164,6 +164,40 @@ class TestInvalidInput:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("ray", "trace", "--y", ","),
+        ("beam", "on-ray", "--x", ","),
+        ("beam", "field", "--x", ",", "--y", "0", "--t", "0", "--k", "10"),
+        ("graze", "reflected", "--x", ","),
+        ("graze", "w", "--x", ",", "--method", "closed"),
+        ("graze", "w", "--x", "1", "--k", " , ", "--method", "u-integral"),
+    ])
+    def test_empty_value_list_rejected(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+    @pytest.mark.parametrize("flag, env", [
+        ("0", None), ("-1", None), (None, "0"), (None, "-1"),
+    ])
+    def test_thread_budget_below_one_rejected(self, capsys, monkeypatch,
+                                              flag, env):
+        argv = ["graze", "w", "--x", "1", "--method", "closed"]
+        if flag is not None:
+            argv += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("GRAZEBEAM_THREADS", env)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0] == "usage error: thread budget must be at least 1"
+
 
 class TestVerify:
     def test_appendix2_check_names(self, capsys):

@@ -15,10 +15,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grazebeam import raybeam
 from grazebeam.errors import DegeneracyError
 from conftest import reduced_flow_rhs, rk4
+
+
+#: y on the central ray, away from the overflow of y^3
+_Y = st.floats(-50.0, 50.0, allow_nan=False)
 
 
 class TestRays:
@@ -132,10 +138,41 @@ class TestBeamFrame:
         assert np.abs(frame.M - 1j*np.eye(2)).max() == 0.0
         assert frame.a == 1.0
 
-    def test_m_equals_w_vinv(self):
-        frame = raybeam.beam_matrix(1.5)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_Y)
+    def test_m_equals_w_vinv(self, y):
+        frame = raybeam.beam_matrix(y)
         ref = frame.W @ np.linalg.inv(frame.V)
-        assert np.abs(frame.M - ref).max() <= 1e-12
+        assert np.abs(frame.M - ref).max() <= \
+            1e-12*max(1.0, np.abs(frame.M).max())
+        assert abs(frame.D - np.linalg.det(frame.V)) <= 1e-12*abs(frame.D)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_Y)
+    def test_beam_matrix_bits_match_written_out_formula(self, y):
+        # the evaluation order (i/D) N of the closed form fixes the bits
+        D = 1.0 + y*y + 1j*y**3/4.0
+        M = (1j/D)*np.array([[1.0 - 1j*y + y*y + 1j*y**3/4.0,
+                              -y - 1j*y*y/2.0],
+                             [-y - 1j*y*y/2.0, 1.0 + 1j*y]], dtype=complex)
+        frame = raybeam.beam_matrix(y)
+        assert frame.D == D and frame.a == D**-0.5
+        assert np.array_equal(frame.M, M)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(arrays(float, st.integers(1, 12), elements=_Y))
+    def test_array_frame_matches_beam_matrix(self, ys):
+        # numpy's vector loops (complex multiply, pow) may round the last
+        # bit differently from scalar arithmetic, hence a few ulp
+        D, M, a = raybeam.closed_frame(ys)
+        assert M.shape == (2, 2) + ys.shape
+        ulp = 8*np.finfo(float).eps
+        for i, y in enumerate(ys.tolist()):
+            frame = raybeam.beam_matrix(y)
+            assert abs(D[i] - frame.D) <= ulp*abs(frame.D)
+            assert abs(a[i] - frame.a) <= ulp*abs(frame.a)
+            assert np.abs(M[..., i] - frame.M).max() <= \
+                ulp*np.abs(frame.M).max()
 
     @pytest.mark.parametrize("y", np.linspace(-5, 5, 11).tolist())
     def test_amplitude_branch_identity(self, y):

@@ -5,20 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from grazebeam import airy, spectral
 from grazebeam.errors import BranchError, DomainError
 from grazebeam.quadrature import DampingProfile, IntegrandSpec
-
-
-class TestSpectralCoords:
-    def test_s_is_mu_plus_nu(self):
-        c = spectral.SpectralCoords(mu=0.9, nu=-1.05, k=100.0)
-        assert c.s == pytest.approx(-0.15)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            spectral.SpectralCoords(mu=1.0, nu=-1.0, k=0.0)
 
 
 class TestZeta:
@@ -42,11 +33,37 @@ class TestZeta:
             beta = spectral.zeta(0.0, 0.0, tau).branch_factor
             assert (beta**1.5).real >= -1e-12
 
-    def test_scaled_equals_exact(self):
-        k, mu, nu, x = 25.0, 0.8, -1.1, 0.6
-        a = spectral.zeta(x, k*mu, k*nu).value
-        b = spectral.zeta_scaled(x, mu, nu, k).value
-        assert abs(a - b) <= 1e-10*abs(a)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.0, 4.0), st.floats(-3.0, 3.0), st.floats(-2.0, -0.05),
+           st.floats(1.0, 1e4))
+    def test_scaled_equals_exact(self, x, mu, nu, k):
+        # the scaled branch beta = (|nu| k)^{2/3} e^{-i pi/3} against zeta()
+        scale, qx, q0 = spectral._scaled_branch(x, mu, nu, k)
+        assert np.isrealobj(qx) and np.isrealobj(q0)
+        want = spectral.zeta(x, k*mu, k*nu)
+        # relative to the size of the terms of 1 + x - mu^2/nu^2, which
+        # may cancel
+        size = abs(want.branch_factor)*(1.0 + x + (mu/nu)**2)
+        scaled = spectral.zeta_scaled(x, mu, nu, k).value
+        for got in (spectral._RAY*qx, scaled):
+            assert abs(got - want.value) <= 1e-12*size
+        assert abs(spectral._RAY*scale - want.branch_factor) <= \
+            1e-12*abs(want.branch_factor)
+        assert abs(spectral._RAY*q0 - spectral.zeta(0.0, k*mu, k*nu).value) \
+            <= 1e-12*size
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.floats(0.0, 4.0), st.floats(-3.0, 3.0), st.floats(-2.0, -0.05),
+           st.floats(1.0, 1e4))
+    def test_complex_nu_continues_real_branch(self, x, mu, nu, k):
+        # neg_power on the real axis gives back the real-nu branch
+        real = spectral._scaled_branch(x, np.array([mu]), np.array([nu]), k)
+        cplx = spectral._scaled_branch(x, np.array([mu + 0j]),
+                                       np.array([nu + 0j]), k)
+        size = abs(real[0][0])*(1.0 + x + (mu/nu)**2)
+        for r, c in zip(real, cplx):
+            assert np.iscomplexobj(c)
+            assert abs(c[0] - r[0]) <= 1e-13*size
 
     def test_tau_zero_raises(self):
         with pytest.raises(DomainError):

@@ -53,23 +53,6 @@ class TestRootR:
             assert -1.0 <= r < 0.0
 
 
-class TestRootAlternate:
-    def test_satisfies_plus_equation(self):
-        x, y, z = 1.0, 2.0, 0.3
-        r = stationary.root_r_alternate(x, y, z)
-        assert r < 0
-        res = (y - z) + 2*r*(math.sqrt(x + 1 - r*r) + math.sqrt(1 - r*r))
-        assert abs(res) <= 1e-12
-
-    def test_quartic_residual(self):
-        r = stationary.root_r_alternate(0.5, 1.7, 0.2)
-        assert abs(quartic_residual(r, 0.5, 1.7, 0.2)) <= 1e-10
-
-    def test_differs_from_main_root(self):
-        assert (abs(stationary.root_r_alternate(1.0, 2.0, 0.3)
-                    - stationary.root_r(1.0, 2.0, 0.3)) > 0.1)
-
-
 class TestStationaryPoint:
     def test_grazing_point_is_origin(self):
         for x in (0.25, 1.0, 2.0):
