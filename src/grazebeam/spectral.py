@@ -130,7 +130,8 @@ def zeta_power_3_2(z: ZetaValue) -> complex:
     return scale*np.exp(-0.5j*np.pi)*rad**1.5
 
 
-#: points per block of the quotient evaluation (about 32 nu-rows at k = 1e3)
+#: grid points per block: exact_solution takes about _QUOTIENT_BLOCK/len(nu)
+#: s-columns at a time (158 at k = 1e3), airy_quotient leading-axis rows
 _QUOTIENT_BLOCK = 1 << 17
 
 
@@ -350,6 +351,8 @@ def exact_solution(x: float, y: float, t: float, k: float,
     Kronrod panels are used on all three axes with per-axis embedded-Gauss
     error estimates; if the summed estimate exceeds ``tol`` relative the
     result is returned flagged (``converged=False``) rather than raised.
+    The tensor rule is summed over blocks of s-columns, so only the nu x z
+    factor is held whole: 13 MB at k = 1e3 and 76 MB at k = 1e4.
 
     ``data_scale`` multiplies the boundary data; the representation is
     linear in it, so the result scales exactly.
@@ -381,26 +384,33 @@ def exact_solution(x: float, y: float, t: float, k: float,
     nn, wnk, wng, pn = _axis_nodes(-1.0 - nu_half, -1.0 + nu_half, rate_nu, k,
                                    max_panels=400)
 
-    # phase split: e^{ik Phi} = Pnu(nu) * FZ(nu,z) * K0(z,s) * FS(nu,s)
-    K0 = np.exp(-1j*k*np.outer(zn, sn))
+    # phase split: e^{ik Phi} = Pnu(nu) FZ(nu,z) K0(z,s) Q(nu,s) FS(s), with
+    # e^{ik y mu} = e^{ik y s} e^{-ik y nu} moved into FS and Pnu; only the
+    # weighted FZ is held whole, the rest is formed per block of s-columns
     z3 = zn**3
-    FZ = np.exp(1j*k*(-np.outer(nn, z3)/12.0 - z3[None, :]/8.0
-                      + 1j*zn[None, :]**4/32.0))
-    MU = sn[None, :] - nn[:, None]
-    FS = (airy_quotient(x, MU, np.broadcast_to(nn[:, None], MU.shape), k)
-          * np.exp(1j*k*y*MU))
-    Pnu = np.exp(1j*k*(t*nn + 0.5j*(nn + 1.0)**2))
+    FZ = np.exp(1j*k*(-np.outer(nn, z3)/12.0 - z3/8.0 + 1j*zn**4/32.0))
+    gauss = wzg != 0.0
+    FZG = FZ[:, gauss]*wzg[gauss]
+    FZ *= wzk
+    FS = np.exp(1j*k*y*sn)
+    wsk, wsg = wsk*FS, wsg*FS
+    Pnu = np.exp(1j*k*((t - y)*nn + 0.5j*(nn + 1.0)**2))
+    pk, pg = wnk*Pnu, wng*Pnu
 
-    EK = (FZ*wzk[None, :]) @ K0
-    EG = (FZ*wzg[None, :]) @ K0
-
-    def contract(E, ws, wn):
-        return np.einsum("ij,ij,j,i->", E, FS, ws, wn*Pnu)
-
-    v_kkk = contract(EK, wsk, wnk)
-    v_gkk = contract(EG, wsk, wnk)
-    v_kgk = contract(EK, wsg, wnk)
-    v_kkg = contract(EK, wsk, wng)
+    v_kkk = v_gkk = v_kgk = v_kkg = 0j
+    cols = max(1, _QUOTIENT_BLOCK//len(nn))
+    for j in range(0, len(sn), cols):
+        blk = slice(j, j + cols)
+        phase = np.outer(zn, sn[blk])
+        phase *= -k
+        K0 = np.cos(phase) + 1j*np.sin(phase)  # faster than complex exp
+        Q = airy_quotient(x, sn[blk] - nn[:, None], nn[:, None], k)
+        EK = (FZ @ K0)*Q
+        ek, eg = pk @ EK, pg @ EK
+        v_kkk += ek @ wsk[blk]
+        v_kgk += ek @ wsg[blk]
+        v_kkg += eg @ wsk[blk]
+        v_gkk += (pk @ ((FZG @ K0[gauss])*Q)) @ wsk[blk]
 
     pref = data_scale*(k/(2.0*math.pi))**1.5
     value = pref*v_kkk

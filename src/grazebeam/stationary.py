@@ -153,26 +153,29 @@ def B_of_z(z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def _stationary_sum(x: float, y: float, z: np.ndarray):
+def _stationary_sum(x: float, y: float, z: np.ndarray, r=None):
     """r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z) at the admissible root r.
 
-    The y-dependent part of C and of phi; undefined at y = z.
+    The y-dependent part of C and of phi; undefined at y = z.  ``r`` is
+    :func:`root_r` at z, solved here unless the caller already has it.
     """
     yz = y - z
     if np.any(yz == 0.0):
         raise DegeneracyError("stationary phase undefined at y = z")
-    r = root_r(x, y, z)
+    if r is None:
+        r = root_r(x, y, z)
     return r*yz + yz**3/(48.0*r**3) + r*x*x/yz
 
 
-def C_of(x: float, y: float, z, t: float):
+def C_of(x: float, y: float, z, t: float, r=None):
     """C(x, y, z, t) = t - z - z^3/12 + r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z).
 
     Real; together with B it decomposes the stationary phase as
-    Phi^sp = nu C + B + i (nu + 1)^2/2.
+    Phi^sp = nu C + B + i (nu + 1)^2/2.  ``r`` is :func:`root_r` at z when
+    the caller has already solved for it.
     """
     z = np.asarray(z, dtype=float)
-    out = t - z - z**3/12.0 + _stationary_sum(x, y, z)
+    out = t - z - z**3/12.0 + _stationary_sum(x, y, z, r)
     return float(out) if np.ndim(z) == 0 else out
 
 
@@ -208,7 +211,7 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
     scalar = np.ndim(z) == 0
     zv = np.atleast_1d(z)
     r = root_r(x, y, zv)
-    C = C_of(x, y, zv, t)
+    C = C_of(x, y, zv, t, r)
     B = B_of_z(zv)
     nu = -1.0 + 1j*C
     sign = np.where(4.0*x > (y - zv)**2, 1.0, -1.0)

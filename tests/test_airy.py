@@ -3,6 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import airye, gamma
 
 from grazebeam import airy
@@ -197,3 +198,51 @@ class TestScaledOnRay:
         z = np.exp(-1j*np.pi/3)*q
         ref = (2.0/3.0)*z*np.sqrt(z)
         assert np.allclose(airy.ray_exponent(q), ref, rtol=1e-14, atol=0.0)
+
+    # q-bands in which a call whose least |q| is the band's lower end sums
+    # through u_n, for n = 5, 7, 10, 16 and 24
+    _ORDER_BANDS = {5: (85.4, 173.8), 7: (36.6, 52.1), 10: (19.4, 22.7),
+                    16: (11.72, 12.31), 24: (8.0, 9.66)}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("order", sorted(_ORDER_BANDS))
+    def test_truncated_series_matches_mpmath(self, order, sign):
+        lo, hi = self._ORDER_BANDS[order]
+        q = sign*np.linspace(lo, hi, 25)
+        assert airy._series_order((2.0/3.0)*lo**1.5) == order
+        got = airy.ai_scaled_on_ray(q)
+        ref = np.array([_scaled_ai_mpmath(v) for v in q])
+        # the first neglected term (DLMF 9.7(iv)), the exponential dropped
+        # on the Stokes line (q < 0) and a few ulp of rounding
+        r = (2.0/3.0)*np.abs(q)**1.5
+        u = airy._U_COEFFS
+        u_next = (u[order + 1] if order < airy.MAX_ASYMPTOTIC_ORDER
+                  else u[-1]*(6*order + 1)*(6*order + 5)/(72.0*(order + 1)))
+        bound = (u_next/r**(order + 1) + np.exp(-2.0*r)*(sign < 0)
+                 + 2e-15)
+        assert np.all(np.abs(got - ref) <= bound*np.abs(ref))
+
+    def test_series_order_is_monotone_in_r(self):
+        r = np.geomspace((2.0/3.0)*airy.RAY_RADIUS**1.5, 1e17, 2000)
+        orders = [airy._series_order(v) for v in r]
+        assert orders[0] == airy.MAX_ASYMPTOTIC_ORDER and orders[-1] == 0
+        assert all(a >= b for a, b in zip(orders, orders[1:]))
+        # the chosen order's first neglected term is below 2^-56 ...
+        for v, n in zip(r, orders):
+            if n < airy.MAX_ASYMPTOTIC_ORDER:
+                assert airy._U_COEFFS[n + 1]/v**(n + 1) < 2.0**-56
+            # ... and one order fewer would not do
+            if n > 0:
+                assert airy._U_COEFFS[n]/v**n >= 2.0**-56
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.sampled_from([1.0, -1.0]),
+                              st.floats(8.0, 1e3)), min_size=1, max_size=12),
+           st.sampled_from([1.0, -1.0]))
+    def test_array_evaluation_matches_pointwise(self, points, sign8):
+        # the |q| = 8 point makes the array call sum through u_24, while
+        # alone each point may stop after a few terms
+        q = np.array([sign8*8.0] + [s*m for s, m in points])
+        whole = airy.ai_scaled_on_ray(q)
+        alone = np.array([airy.ai_scaled_on_ray(v) for v in q])
+        assert np.all(np.abs(whole - alone) <= 4e-15*np.abs(alone))

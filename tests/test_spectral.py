@@ -1,6 +1,7 @@
 """Spectral representation: zeta branches, boundary data, phase, oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,11 +349,84 @@ class TestAmplitudeZ:
         assert np.isfinite(val) and abs(val) > 0
 
 
+def _full_grid_oracle(x, y, t, k, axes):
+    """The (z, s, nu) tensor rule contracted on whole grids (earlier form).
+
+    ``axes`` are the (nodes, Kronrod weights, Gauss weights) of the z, s
+    and nu axes; returns (value, error estimate, converged).
+    """
+    (zn, wzk, wzg), (sn, wsk, wsg), (nn, wnk, wng) = axes
+    K0 = np.exp(-1j*k*np.outer(zn, sn))
+    z3 = zn**3
+    FZ = np.exp(1j*k*(-np.outer(nn, z3)/12.0 - z3[None, :]/8.0
+                      + 1j*zn[None, :]**4/32.0))
+    MU = sn[None, :] - nn[:, None]
+    FS = (spectral.airy_quotient(x, MU, np.broadcast_to(nn[:, None],
+                                                        MU.shape), k)
+          * np.exp(1j*k*y*MU))
+    Pnu = np.exp(1j*k*(t*nn + 0.5j*(nn + 1.0)**2))
+    EK = (FZ*wzk[None, :]) @ K0
+    EG = (FZ*wzg[None, :]) @ K0
+
+    def contract(E, ws, wn):
+        return np.einsum("ij,ij,j,i->", E, FS, ws, wn*Pnu)
+
+    v_kkk = contract(EK, wsk, wnk)
+    v_gkk = contract(EG, wsk, wnk)
+    v_kgk = contract(EK, wsg, wnk)
+    v_kkg = contract(EK, wsk, wng)
+    pref = (k/(2.0*math.pi))**1.5
+    value = pref*v_kkk
+    err = pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk) + abs(v_kkk - v_kkg))
+    return value, err, err <= 0.02*(1.0 + abs(value))
+
+
 class TestExactSolution:
     def test_linearity_in_boundary_data(self):
         q1 = spectral.exact_solution(0.5, 1.0, 1.0, 60.0)
         q2 = spectral.exact_solution(0.5, 1.0, 1.0, 60.0, data_scale=2.0)
         assert q2.value == 2.0*q1.value
+
+    # at k = 60 the Gauss weights of the z, s and nu axes are scaled by
+    # 0.5, 0.6 and 0.7 in both routes, so that each axis's term of the error
+    # estimate is of the size of the value and is checked at 1e-12 of it
+    @pytest.mark.parametrize("k, gauss_scale", [(60.0, (0.5, 0.6, 0.7)),
+                                                (150.0, (1.0, 1.0, 1.0))])
+    def test_blocked_sum_matches_full_grid(self, k, gauss_scale,
+                                           monkeypatch):
+        x, y = 0.5, 1.2
+        t = y + y**3/12.0 + 0.1
+        axes = []
+        axis_nodes = spectral._axis_nodes
+
+        def recorded(*args, **kwargs):
+            nodes, wk, wg, panels = axis_nodes(*args, **kwargs)
+            wg = wg*gauss_scale[len(axes) % 3]
+            axes.append((nodes, wk, wg))
+            return nodes, wk, wg, panels
+        monkeypatch.setattr(spectral, "_axis_nodes", recorded)
+        spectral.exact_solution(x, y, t, k)
+        value, err, converged = _full_grid_oracle(x, y, t, k, axes[:3])
+        n_nu, n_s = len(axes[2][0]), len(axes[1][0])
+        uneven = next(c for c in range(7, n_s) if n_s % c)
+        # one s-column per block, an uneven last block, a single block
+        for cols in (1, uneven, n_s):
+            monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", cols*n_nu)
+            got = spectral.exact_solution(x, y, t, k)
+            assert abs(got.value - value) <= 1e-12*abs(value)
+            assert abs(got.error_estimate - err) <= 1e-12*abs(value)
+            assert got.converged == converged
+
+    def test_memory_is_bounded_at_k1000(self):
+        spectral.exact_solution(1.0, 2.0, 8.0/3.0, 1e3)  # warm-up
+        tracemalloc.start()
+        try:
+            spectral.exact_solution(1.0, 2.0, 8.0/3.0, 1e3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-grid contraction peaks at 275 MB on this call
+        assert peak <= 100e6
 
     @pytest.mark.slow
     def test_concentration_on_ray(self):

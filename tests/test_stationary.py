@@ -295,6 +295,26 @@ class TestReducedIntegrand:
         rel_jump = np.abs(np.diff(vals))/np.abs(vals[:-1]).max()
         assert rel_jump.max() <= 0.05
 
+    @pytest.mark.parametrize("z", [0.1, np.linspace(-0.5, 0.5, 41)])
+    def test_solves_the_root_once(self, z, monkeypatch):
+        calls = []
+        root_r = stationary.root_r
+
+        def counted(*args):
+            calls.append(args)
+            return root_r(*args)
+        monkeypatch.setattr(stationary, "root_r", counted)
+        x, y, t = 1.0, 2.2, 2.2 + 2.2**3/12.0
+        val = stationary.reduced_integrand(x, y, t, 1e3, z)
+        assert np.all(np.isfinite(val))
+        assert len(calls) == 1
+        # and C formed from the root passed in is C solved on its own
+        monkeypatch.setattr(stationary, "root_r", root_r)
+        zv = np.atleast_1d(z)
+        assert np.array_equal(stationary.C_of(x, y, zv, t),
+                              stationary.C_of(x, y, zv, t,
+                                              root_r(x, y, zv)))
+
 
 class TestSeries:
     def test_series_r_closed_values(self):
