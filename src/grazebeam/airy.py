@@ -32,9 +32,28 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
   A far point costs a square root, a division and n + 1 real
   multiply-adds, 0.04-0.06 us; a near one 0.3 us, against 3-10 us for
   ``sp.airye`` (AMOS), which computes Ai, Ai', Bi and Bi' at once;
-* the logarithmic derivative Ai'/Ai, which the pipeline evaluates on the
-  ray arg z = -pi/3 where Ai has no zeros, switching to the differentiated
-  asymptotic series above a crossover radius.
+* the logarithmic derivative Ai'/Ai, from one quotient of series for
+  |z| >= 8: -sqrt(z) sum v_n s^n / sum u_n s^n with s = -1/zeta and
+  v_n = -(6n+1)/(6n-1) u_n (DLMF 9.7.5, 9.7.6), cut at the order
+  :func:`_series_order` gives for the call's least |zeta|.  Two entry
+  points:
+
+  - :func:`ratio_on_ray` (the u-integral, z = e^{-i pi/3} q, q real):
+    the series for |q| >= RAY_RADIUS; inside, from the connection formula
+    above, omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)) with w = -q.
+    The split is at 8 because scipy's real ``airy`` hands |w| > 10 to
+    AMOS (2.5 us a point on [-16, -8], against 0.1 us on [-8, 0]).
+    Measured against mpmath: 1.6e-14 relative for q in [0, 100], 1.1e-15
+    for -8 < q < 0 and 1.2e-13 for q <= -8 (the Stokes line again).
+    0.13-0.19 us a point for q >= 0, where the AMOS ratio cost 1.2-9 us;
+  - :func:`airy_ratio` (general complex z, the z-route): the series for
+    |z| >= RATIO_CROSSOVER (= 8) in the sector |arg z| <= 2 pi/3, the
+    quotient of the two ``sp.airye`` values elsewhere while |z| <= R_MAX.
+    Towards the negative real axis the series fails (|arg z| < pi is its
+    limit), so no point off the sector is summed.  Measured against
+    mpmath for |z| in [8, 40]: 2.8e-14 relative for |arg z| <= 1.6,
+    1.2e-13 towards arg z = +-2 pi/3, and 5e-16 from |z| = 10 on.
+    0.2 us a series point, 5-9 us an AMOS one.
 
 The rotated function A(z) = Ai(omega*z) with omega = exp(2*pi*i/3) and the
 constant Wronskian W(z) = A(z)Ai'(z) - A'(z)Ai(z) implement the reciprocal
@@ -63,6 +82,7 @@ __all__ = [
     "airy_asymptotic",
     "airy_ratio",
     "airy_rotated",
+    "ratio_on_ray",
     "ray_exponent",
     "wronskian",
 ]
@@ -74,7 +94,7 @@ OMEGA = complex(np.exp(2j*np.pi/3))
 R_MAX = 40.0
 
 #: default switch radius between direct and asymptotic Ai'/Ai
-RATIO_CROSSOVER = 16.0
+RATIO_CROSSOVER = 8.0
 
 #: exact value of the constant Wronskian, (omega - 1) / (2*pi*sqrt(3))
 WRONSKIAN_ZERO = (OMEGA - 1.0)/(2.0*np.pi*np.sqrt(3.0))
@@ -93,9 +113,15 @@ MAX_ASYMPTOTIC_ORDER = len(_U_COEFFS) - 1
 _QUARTER_POS = np.exp(1j*np.pi/12.0)/(2.0*np.sqrt(np.pi))
 _QUARTER_NEG = np.exp(-1j*np.pi/6.0)/(2.0*np.sqrt(np.pi))
 
-# Ai'/Ai ~ -sqrt(z) - 1/(4z) + 5/32 z^{-5/2} - 15/64 z^{-4} + 1105/2048 z^{-11/2}
-# (successive powers z^{-3k/2}; from the Riccati equation y' + y^2 = z)
-_RATIO_COEFFS = (-0.25, 5.0/32.0, -15.0/64.0, 1105.0/2048.0)
+# the coefficients v_n = -(6n+1)/(6n-1) u_n of the series of Ai' (DLMF 9.7.6)
+_V_COEFFS = [-(6*n + 1)/(6*n - 1)*u for n, u in enumerate(_U_COEFFS)]
+
+# e^{-i pi/3}: the ray z = e^{-i pi/3} q
+_RAY = np.exp(-1j*np.pi/3.0)
+
+# |arg z| up to which airy_ratio sums the series; the slack admits points
+# put on arg z = 2 pi/3 by a rounded e^{-i pi/3} q with q < 0
+_SECTOR = 2.0*np.pi/3.0 + 1e-9
 
 # |scaled Ai| below this flags proximity to a zero of Ai
 _ZERO_PROXIMITY = 1e-12
@@ -238,41 +264,65 @@ def ai_scaled_on_ray(q):
     return out[()]
 
 
+def ratio_on_ray(q):
+    """Ai'(z)/Ai(z) at z = e^{-i pi/3} q for real q, elementwise.
+
+    |q| >= RAY_RADIUS: the quotient of the DLMF 9.7.5 and 9.7.6 series;
+    inside, the real-argument connection formula
+    omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)), w = -q.  Ai has no
+    zeros on the ray, so no proximity guard is needed.
+    """
+    q = np.asarray(q, dtype=float)
+    out = np.empty(q.shape, dtype=complex)
+    far = np.abs(q) >= RAY_RADIUS
+    if far.any():
+        out[far] = _ratio_series(_RAY*q[far])
+    near = ~far
+    if near.any():
+        ai, aip, bi, bip = sp.airy(-q[near])
+        out[near] = np.conj(OMEGA)*(aip - 1j*bip)/(ai - 1j*bi)
+    return out[()]
+
+
 def _ratio_series(z):
-    """Differentiated asymptotic expansion of Ai'/Ai (array-safe)."""
-    out = -np.sqrt(z)
-    for j, c in enumerate(_RATIO_COEFFS):
-        out = out + c*z**(-1.0 - 1.5*j)
-    return out
+    """-sqrt(z) sum v_m s^m / sum u_m s^m, s = -1/zeta, for complex z.
+
+    Cut at the order :func:`_series_order` gives for the least |zeta|.
+    """
+    root = np.sqrt(z)
+    s = -1.0/((2.0/3.0)*z*root)
+    n = _series_order(1.0/np.abs(s).max())
+    return -root*_horner(_V_COEFFS[:n + 1], s)/_horner(_U_COEFFS[:n + 1], s)
 
 
 def airy_ratio(z, crossover: float = RATIO_CROSSOVER):
     """Logarithmic derivative Ai'(z)/Ai(z), scalar or elementwise on arrays.
 
-    Below ``crossover`` the ratio is formed directly; above, the
-    differentiated asymptotic expansion is used (the two branches agree to
-    ~1e-6 at |z| = 9 and ~1e-9 at the default crossover).  Arguments too
-    close to a zero of Ai raise :class:`DegeneracyError`; proximity is
+    Points with |z| >= ``crossover`` and |arg z| <= 2 pi/3 are summed from
+    the differentiated asymptotic series (DLMF 9.7.5, 9.7.6); the others
+    are formed directly from AMOS, which covers |z| <= R_MAX.  Arguments
+    too close to a zero of Ai raise :class:`DegeneracyError`; proximity is
     measured on the exponentially scaled modulus so the test is meaningful
     in the decaying sector as well.
     """
     scalar = np.isscalar(z) or np.ndim(z) == 0
     zv = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty_like(zv)
-    small = np.abs(zv) < crossover
-    if small.any():
-        zs = zv[small]
+    far = (np.abs(zv) >= crossover) & (np.abs(np.angle(zv)) <= _SECTOR)
+    if far.any():
+        out[far] = _ratio_series(zv[far])
+    direct = ~far
+    if direct.any():
+        zs = zv[direct]
         if np.abs(zs).max() > R_MAX:
             raise DomainError(
-                "direct ratio requested beyond R_MAX = %.3g; raise the "
-                "crossover only within the supported disk" % R_MAX)
+                "Ai'/Ai requested at |z| > R_MAX = %.3g outside the sector "
+                "|arg z| <= 2 pi/3 of its asymptotic series" % R_MAX)
         # Ai and Ai' carry the same scale factor, which cancels in the ratio
         eai, eaip, _, _ = sp.airye(zs)
         if np.any(np.abs(eai) < _ZERO_PROXIMITY):
             raise DegeneracyError(
                 "evaluation too close to a zero of Ai (scaled |Ai| < %.1e)"
                 % _ZERO_PROXIMITY)
-        out[small] = eaip/eai
-    if (~small).any():
-        out[~small] = _ratio_series(zv[~small])
+        out[direct] = eaip/eai
     return complex(out[0]) if scalar else out

@@ -95,8 +95,7 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
     k112 = k**(-1.0/12.0)
 
     def f(u):
-        zeta0 = np.exp(-1j*np.pi/3.0)*(u*u/4.0)*k16
-        bracket = 0.5j*u - k112*airy.OMEGA*airy.airy_ratio(zeta0)
+        bracket = 0.5j*u - k112*airy.OMEGA*airy.ratio_on_ray((u*u/4.0)*k16)
         return bracket*np.exp(1j*a*u**4)
 
     U = truncation_radius(1.0/32.0, 4, 1e-14)

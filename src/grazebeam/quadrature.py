@@ -126,12 +126,14 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
         if hi > 1e8:
             break
     lo = min(lo, hi/2)
+    # each step is a function of (lo, hi): one that changes neither has
+    # reached the fixed point the remaining steps would repeat
     for _ in range(200):
         mid = 0.5*(lo + hi)
-        if tail(mid) > tail_tol:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if tail(mid) > tail_tol else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return hi
 
 

@@ -156,6 +156,58 @@ class TestRatio:
             assert vec[i] == airy.airy_ratio(complex(z))
 
 
+def _ratio_mpmath(z):
+    """Ai'(z)/Ai(z) in 30-digit arithmetic."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        return complex(mp.airyai(z, derivative=1)/mp.airyai(z))
+
+
+class TestRatioSeries:
+    """airy_ratio beyond the crossover: the DLMF 9.7.5/9.7.6 quotient."""
+
+    # from |z| = 8; |8 e^{i theta}| may round below it
+    _MODS = np.geomspace(8.0*(1.0 + 1e-12), airy.R_MAX, 7)
+    _ARGS = np.linspace(-2*np.pi/3, 2*np.pi/3, 13)
+
+    def test_matches_mpmath_in_its_sector(self):
+        z = (self._MODS[:, None]*np.exp(1j*self._ARGS)).ravel()
+        got = airy.airy_ratio(z)
+        ref = np.array([_ratio_mpmath(v) for v in z])
+        # |z| = 8 sums through u_24; the Stokes lines arg z = +-2 pi/3
+        # carry the neglected exponential, ~1e-13 there
+        edge = np.abs(np.angle(z)) > np.pi/2
+        bound = np.where(edge, 2e-13, 5e-14)
+        assert np.all(np.abs(got - ref) <= bound*np.abs(ref))
+
+    def test_sector_makes_no_amos_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sp.airye called in the series sector")
+        monkeypatch.setattr(airy.sp, "airye", refuse)
+        z = (self._MODS[:, None]*np.exp(1j*self._ARGS)).ravel()
+        assert np.all(np.isfinite(airy.airy_ratio(z)))
+        # e^{-i pi/3} q with q < 0 is on arg z = 2 pi/3 up to rounding
+        q = -np.linspace(self._MODS[0], airy.R_MAX, 50)
+        assert np.all(np.isfinite(airy.airy_ratio(np.exp(-1j*np.pi/3)*q)))
+
+    @pytest.mark.parametrize("z", [-20.0, -30.0 + 0.1j, -8.0, -40.0,
+                                   12.0*np.exp(2.2j), 39.0*np.exp(-2.9j),
+                                   9.0*np.exp(-2.1j), -2.3381 - 8.0j])
+    def test_outside_the_sector_matches_mpmath(self, z):
+        # the series holds only for |arg z| < pi; near the negative axis
+        # the ratio comes from AMOS
+        ref = _ratio_mpmath(z)
+        assert abs(airy.airy_ratio(z) - ref) <= 1e-12*abs(ref)
+
+    def test_outside_the_sector_beyond_r_max_raises(self):
+        with pytest.raises(DomainError, match="R_MAX"):
+            airy.airy_ratio(-50.0)
+        with pytest.raises(DomainError, match="R_MAX"):
+            airy.airy_ratio(np.array([60.0, 45.0*np.exp(2.5j)]))
+        # inside the sector the series needs no disk
+        assert np.isfinite(airy.airy_ratio(60.0*np.exp(-1j*np.pi/3)))
+
+
 def _scaled_ai_mpmath(q):
     """Ai(z) exp((2/3) z^{3/2}) at z = e^{-i pi/3} q in 40-digit arithmetic."""
     with mp.workdps(40):
@@ -246,3 +298,61 @@ class TestScaledOnRay:
         whole = airy.ai_scaled_on_ray(q)
         alone = np.array([airy.ai_scaled_on_ray(v) for v in q])
         assert np.all(np.abs(whole - alone) <= 4e-15*np.abs(alone))
+
+
+def _ray_ratio_mpmath(q):
+    return _ratio_mpmath(mp.exp(-1j*mp.pi/3)*mp.mpf(q))
+
+
+class TestRatioOnRay:
+    @staticmethod
+    def _bound(q):
+        # a few ulp, and on the Stokes line (q <= -8) the neglected
+        # exponential exp(-(4/3)|q|^{3/2}), 8e-14 at |q| = 8
+        q = np.asarray(q, dtype=float)
+        r = (2.0/3.0)*np.abs(q)**1.5
+        stokes = (q <= -airy.RAY_RADIUS)*4.0*np.exp(-2.0*r)
+        return 3e-14 + stokes
+
+    @pytest.mark.parametrize("q", list(np.linspace(-60.0, 100.0, 81))
+                             + _RAY_EDGES + [0.0, 1e-8, -1e-8, 0.5, -0.5])
+    def test_matches_mpmath(self, q):
+        ref = _ray_ratio_mpmath(q)
+        got = airy.ratio_on_ray(q)
+        assert abs(got - ref) <= self._bound(q)*abs(ref)
+
+    def test_zero_is_ai_prime_over_ai(self):
+        assert abs(airy.ratio_on_ray(0.0) - AIP0/AI0) <= 4e-16*abs(AIP0/AI0)
+
+    def test_two_dimensional_array(self):
+        q = np.linspace(-30.0, 70.0, 60).reshape(4, 15)
+        got = airy.ratio_on_ray(q)
+        assert got.shape == q.shape
+        ref = np.array([[_ray_ratio_mpmath(v) for v in row] for row in q])
+        assert np.all(np.abs(got - ref) <= self._bound(q)*np.abs(ref))
+        assert np.ndim(airy.ratio_on_ray(3.0)) == 0
+        assert np.ndim(airy.ratio_on_ray(30.0)) == 0
+
+    def test_agrees_with_airy_ratio_on_the_ray(self):
+        # AMOS, which airy_ratio uses for |q| < 8, is good to ~5e-14 there
+        q = np.linspace(-40.0, 40.0, 401)
+        ref = airy.airy_ratio(np.exp(-1j*np.pi/3)*q)
+        got = airy.ratio_on_ray(q)
+        assert np.all(np.abs(got - ref) <= 1e-13*np.abs(ref))
+
+    def test_real_airy_stays_below_ray_radius(self, monkeypatch):
+        # scipy's real airy hands |w| > 10 to AMOS; the near branch stops
+        # at |q| = 8, and nothing calls the complex AMOS routine
+        seen = []
+        real_airy = airy.sp.airy
+
+        def record(w):
+            seen.append(np.max(np.abs(w)))
+            return real_airy(w)
+
+        def refuse(*args):
+            raise AssertionError("sp.airye called on the ray")
+        monkeypatch.setattr(airy.sp, "airy", record)
+        monkeypatch.setattr(airy.sp, "airye", refuse)
+        airy.ratio_on_ray(np.linspace(-100.0, 100.0, 2001))
+        assert seen and max(seen) < airy.RAY_RADIUS

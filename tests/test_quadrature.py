@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grazebeam.quadrature as quad
 from grazebeam.errors import ContourError, NonConvergenceError
@@ -115,6 +116,39 @@ class TestTruncationRadius:
             u = np.linspace(r, r*3 + 10, 40001)
             tail = 2.0*np.trapezoid(np.exp(-a*u**p), u)
             assert tail <= tol*1.0000001
+
+
+def _bisection_200_steps(a, p, tail_tol, scale=1.0):
+    """truncation_radius as a fixed 200-step bisection."""
+    c = max(scale, 1e-300)
+
+    def tail(R):
+        return 2*c*math.exp(-a*R**p)/(p*a*R**(p - 1))
+
+    lo, hi = (tail_tol/c)**(1.0/p), 1.0
+    while tail(hi) > tail_tol:
+        hi *= 2
+        if hi > 1e8:
+            break
+    lo = min(lo, hi/2)
+    for _ in range(200):
+        mid = 0.5*(lo + hi)
+        if tail(mid) > tail_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestTruncationRadiusEarlyStop:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.floats(-3.0, 5.0), st.sampled_from([2, 3, 4]),
+           st.floats(-16.0, -2.0), st.floats(-2.0, 3.0))
+    def test_bit_identical_to_full_bisection(self, log_a, p, log_tol,
+                                             log_scale):
+        a, tol, scale = 10.0**log_a, 10.0**log_tol, 10.0**log_scale
+        assert (truncation_radius(a, p, tol, scale)
+                == _bisection_200_steps(a, p, tol, scale))
 
 
 class TestRotatedRay:
