@@ -75,6 +75,7 @@ __all__ = [
     "OMEGA",
     "R_MAX",
     "RATIO_CROSSOVER",
+    "RAY",
     "RAY_RADIUS",
     "WRONSKIAN_ZERO",
     "ai_scaled_on_ray",
@@ -90,10 +91,13 @@ __all__ = [
 #: rotation to the second Stokes sector
 OMEGA = complex(np.exp(2j*np.pi/3))
 
+#: e^{-i pi/3}: the ray z = e^{-i pi/3} q that carries every Airy argument
+RAY = np.exp(-1j*np.pi/3.0)
+
 #: supported evaluation radius for the direct Ai evaluation
 R_MAX = 40.0
 
-#: default switch radius between direct and asymptotic Ai'/Ai
+#: switch radius between direct and asymptotic Ai'/Ai
 RATIO_CROSSOVER = 8.0
 
 #: exact value of the constant Wronskian, (omega - 1) / (2*pi*sqrt(3))
@@ -115,9 +119,6 @@ _QUARTER_NEG = np.exp(-1j*np.pi/6.0)/(2.0*np.sqrt(np.pi))
 
 # the coefficients v_n = -(6n+1)/(6n-1) u_n of the series of Ai' (DLMF 9.7.6)
 _V_COEFFS = [-(6*n + 1)/(6*n - 1)*u for n, u in enumerate(_U_COEFFS)]
-
-# e^{-i pi/3}: the ray z = e^{-i pi/3} q
-_RAY = np.exp(-1j*np.pi/3.0)
 
 # |arg z| up to which airy_ratio sums the series; the slack admits points
 # put on arg z = 2 pi/3 by a rounded e^{-i pi/3} q with q < 0
@@ -276,7 +277,7 @@ def ratio_on_ray(q):
     out = np.empty(q.shape, dtype=complex)
     far = np.abs(q) >= RAY_RADIUS
     if far.any():
-        out[far] = _ratio_series(_RAY*q[far])
+        out[far] = _ratio_series(RAY*q[far])
     near = ~far
     if near.any():
         ai, aip, bi, bip = sp.airy(-q[near])
@@ -295,10 +296,10 @@ def _ratio_series(z):
     return -root*_horner(_V_COEFFS[:n + 1], s)/_horner(_U_COEFFS[:n + 1], s)
 
 
-def airy_ratio(z, crossover: float = RATIO_CROSSOVER):
+def airy_ratio(z):
     """Logarithmic derivative Ai'(z)/Ai(z), scalar or elementwise on arrays.
 
-    Points with |z| >= ``crossover`` and |arg z| <= 2 pi/3 are summed from
+    Points with |z| >= RATIO_CROSSOVER and |arg z| <= 2 pi/3 are summed from
     the differentiated asymptotic series (DLMF 9.7.5, 9.7.6); the others
     are formed directly from AMOS, which covers |z| <= R_MAX.  Arguments
     too close to a zero of Ai raise :class:`DegeneracyError`; proximity is
@@ -308,7 +309,7 @@ def airy_ratio(z, crossover: float = RATIO_CROSSOVER):
     scalar = np.isscalar(z) or np.ndim(z) == 0
     zv = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty_like(zv)
-    far = (np.abs(zv) >= crossover) & (np.abs(np.angle(zv)) <= _SECTOR)
+    far = (np.abs(zv) >= RATIO_CROSSOVER) & (np.abs(np.angle(zv)) <= _SECTOR)
     if far.any():
         out[far] = _ratio_series(zv[far])
     direct = ~far

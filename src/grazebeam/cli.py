@@ -29,6 +29,9 @@ __all__ = ["RunConfig", "main"]
 _SPECTRAL_K_CAP = 1e4
 _METHODS = ("closed", "u-integral", "z-integral", "spectral")
 
+#: most values one list, or cells one grid command, may hold
+MAX_VALUES = 10**6
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -83,7 +86,8 @@ def finite(text: str) -> float:
 def _parse_values(text: str):
     """Parse '0.5,1,2' or 'start:stop:step' (inclusive stop, within 1e-9).
 
-    Every value must be finite, and there must be at least one.
+    Every value must be finite, and there must be at least one and at most
+    MAX_VALUES.
     """
     text = text.strip()
     try:
@@ -94,14 +98,23 @@ def _parse_values(text: str):
             start, stop, step = (finite(p) for p in parts)
             if step == 0 or (stop - start)*step < 0:
                 raise ValueError("inconsistent range direction")
-            n = int(math.floor((stop - start)/step + 1e-9)) + 1
+            # min() keeps a span that overflowed to inf countable
+            n = int(math.floor(min((stop - start)/step + 1e-9,
+                                   MAX_VALUES))) + 1
+            _check_count(n, "range %r" % text)
             return [start + i*step for i in range(n)]
         values = [finite(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError("cannot parse values %r: %s" % (text, exc))
     if not values:
         raise UsageError("need at least one value, got %r" % text)
+    _check_count(len(values), "list %r" % text)
     return values
+
+
+def _check_count(n: int, what: str):
+    if n > MAX_VALUES:
+        raise UsageError("%s holds more than %d values" % (what, MAX_VALUES))
 
 
 def _fmt(v) -> str:
@@ -161,6 +174,7 @@ def _cmd_ray_trace(args) -> int:
 
 def _cmd_beam_field(args) -> int:
     xs, ys, ts = (_parse_values(a) for a in (args.x, args.y, args.t))
+    _check_count(len(xs)*len(ys)*len(ts), "the x-y-t grid")
     k = float(args.k)
     lines = ["x,y,t,k,re_v,im_v,abs_v"]
     for x in xs:
@@ -199,9 +213,9 @@ def _graze_cell(cell):
                 res = grazing.z_integral(x, k, tol)
                 w, quad_err = res.w_value, res.error_estimate
             else:  # spectral
-                y = 2.0*math.sqrt(x)
-                t = y + y**3/12.0
-                qr = spectral.exact_solution(x, y, t, k, tol=max(tol, 0.02))
+                ray = raybeam.central_ray(2.0*math.sqrt(x))
+                qr = spectral.exact_solution(x, ray.y, ray.t, k,
+                                             max(tol, 0.02))
                 w, quad_err = qr.value, qr.error_estimate
                 if not qr.converged:
                     status = "non-converged"
@@ -223,6 +237,7 @@ def _cmd_graze_w(args) -> int:
         tol=args.tol,
         output_path=args.out,
         thread_budget=_thread_budget(args))
+    _check_count(len(cfg.x_values)*len(cfg.k_values), "the x-k grid")
     cells = [(x, k, cfg.method, cfg.tol)
              for x in cfg.x_values for k in cfg.k_values]
     rows = _map_cells(_graze_cell, cells, cfg.thread_budget)

@@ -36,7 +36,8 @@ from .errors import DomainError
 from .fd import stencil_derivatives
 from .quadrature import (DampingProfile, IntegrandSpec, integrate_1d,
                          truncation_radius)
-from .stationary import quartic_coefficient, reduced_integrand
+from .raybeam import beam_on_ray, central_ray
+from .stationary import C_of, quartic_coefficient, reduced_integrand
 
 __all__ = [
     "DerivativeConsistencyReport",
@@ -66,21 +67,18 @@ class GrazingResult:
 
 def constant_c() -> complex:
     """c = (4 pi)^{-3/2} e^{i pi/12} / W(0), |c| = (4 pi)^{-3/2} * 2 pi."""
-    return (4.0*math.pi)**-1.5*np.exp(1j*np.pi/12.0)/airy.wronskian(0.0)
+    return (4.0*math.pi)**-1.5*np.exp(1j*np.pi/12.0)/airy.WRONSKIAN_ZERO
 
 
-def quartic_moment(b: complex, full_line: bool = False) -> complex:
+def quartic_moment(b: complex) -> complex:
     """int_0^inf u e^{-b u^4} du = Gamma(1/2) b^{-1/2} / 4 for Re b > 0.
 
     Principal branch of b^{-1/2}; the identity extends off the positive
-    axis by analyticity.  With ``full_line=True`` the odd symmetry makes
-    the integral over the whole line exactly zero.
+    axis by analyticity.
     """
     b = complex(b)
     if b.real <= 0:
         raise DomainError("quartic moment requires Re b > 0")
-    if full_line:
-        return 0j
     return 0.25*math.sqrt(math.pi)*b**-0.5
 
 
@@ -139,8 +137,8 @@ def z_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
     """The one-dimensional z-route on the ray (reduced integrand integrated)."""
     if x <= 0:
         raise DomainError("x must be positive")
-    y = 2.0*math.sqrt(x)
-    res = _z_route(x, y, y + y**3/12.0, k, tol)
+    ray = central_ray(2.0*math.sqrt(x))
+    res = _z_route(x, ray.y, ray.t, k, tol)
     return GrazingResult(x, k, complex(res.value), "z-integral",
                          float(res.error_estimate))
 
@@ -187,7 +185,6 @@ def closed_form_identity_check(x: float) -> float:
 
 def reflected_amplitude(x: float) -> complex:
     """Amplitude of the emerging beam on the ray: v(x) - w(x), closed forms."""
-    from .raybeam import beam_on_ray
     return beam_on_ray(x) - w_on_ray_closed(x)
 
 
@@ -217,8 +214,8 @@ def derivative_consistency(x: float, k: float,
     """Differentiate the z-route numerically and compare with i k sqrt(x) w, i k w."""
     if x <= 0:
         raise DomainError("x must be positive")
-    y = 2.0*math.sqrt(x)
-    t = y + y**3/12.0
+    ray = central_ray(2.0*math.sqrt(x))
+    y, t = ray.y, ray.t
 
     def wz(xx, yy):
         return _z_route(xx, yy, t, k, 1e-8).value
@@ -227,7 +224,6 @@ def derivative_consistency(x: float, k: float,
     dwx = (wz(x + step, y) - wz(x - step, y))/(2.0*step)
     dwy = (wz(x, y + step) - wz(x, y - step))/(2.0*step)
 
-    from .stationary import C_of
     h = 0.02
 
     # partials at fixed (y, z, t), evaluated at the grazing point z = 0

@@ -213,18 +213,16 @@ def integrate_1d(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     return result
 
 
-def integrate_nd(spec: IntegrandSpec, dims: int, tol: float) -> QuadratureResult:
-    """Nested application of integrate_1d over 2 or 3 axes.
+def integrate_nd(spec: IntegrandSpec, tol: float) -> QuadratureResult:
+    """Nested application of integrate_1d over two axes, f(u, v).
 
-    Axis 0 is the outermost integral; its integrand runs one inner
-    integration per outer node.  The reported error adds the outer estimate
-    to the largest inner estimate scaled by the outer window, which is
-    conservative for near-separable damping.
+    Axis 0 (u) is the outer integral; its integrand runs one inner
+    integration over v per outer node.  The reported error adds the outer
+    estimate to the largest inner estimate scaled by the outer window, which
+    is conservative for near-separable damping.
     """
-    if dims not in (2, 3):
-        raise ValueError("dims must be 2 or 3")
     profiles = spec.damping_profile
-    if isinstance(profiles, DampingProfile) or len(profiles) != dims:
+    if isinstance(profiles, DampingProfile) or len(profiles) != 2:
         raise ValueError("need one damping profile per axis")
     inner_tol = tol/4.0
     inner_err = 0.0
@@ -237,14 +235,9 @@ def integrate_nd(spec: IntegrandSpec, dims: int, tol: float) -> QuadratureResult
         out = np.empty(u.shape, dtype=complex)
         flat = out.ravel()
         for i, ui in enumerate(np.asarray(u).ravel()):
-            sub = IntegrandSpec(
-                lambda *rest, ui=ui: spec.evaluator(ui, *rest),
-                profiles[1] if dims == 2 else tuple(profiles[1:]),
-                spec.oscillation_scale)
-            if dims == 2:
-                r = integrate_1d(sub, inner_tol)
-            else:
-                r = integrate_nd(sub, 2, inner_tol)
+            r = integrate_1d(IntegrandSpec(
+                lambda v, ui=ui: spec.evaluator(ui, v), profiles[1],
+                spec.oscillation_scale), inner_tol)
             flat[i] = r.value
             inner_err = max(inner_err, r.error_estimate)
             inner_panels += r.panel_count

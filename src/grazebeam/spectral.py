@@ -53,11 +53,6 @@ __all__ = [
     "zeta_scaled",
 ]
 
-_OMEGA = airy.OMEGA
-
-#: e^{-i pi/3}: zeta = e^{-i pi/3} q on the bounded branch for tau < 0
-_RAY = np.exp(-1j*np.pi/3.0)
-
 
 def neg_power(nu, alpha: float):
     """|nu|^alpha for real nu < 0, continued as (-nu)^alpha (principal) off axis."""
@@ -97,7 +92,7 @@ def zeta_scaled(x: float, mu: float, nu: float, k: float) -> ZetaValue:
     if k <= 0:
         raise ValueError("k must be positive")
     scale, qx, _ = _scaled_branch(x, mu, nu, k)
-    return ZetaValue(_RAY*qx, _RAY*scale, "scaled-near-nu=-1")
+    return ZetaValue(airy.RAY*qx, airy.RAY*scale, "scaled-near-nu=-1")
 
 
 def _scaled_branch(x, mu, nu, k: float):
@@ -130,11 +125,6 @@ def zeta_power_3_2(z: ZetaValue) -> complex:
     return scale*np.exp(-0.5j*np.pi)*rad**1.5
 
 
-#: grid points per block: exact_solution takes about _QUOTIENT_BLOCK/len(nu)
-#: s-columns at a time (158 at k = 1e3), airy_quotient leading-axis rows
-_QUOTIENT_BLOCK = 1 << 17
-
-
 def airy_quotient(x, mu, nu, k: float):
     """Ai(zeta(x, k mu, k nu)) / Ai(zeta(0, k mu, k nu)), array-safe and stable.
 
@@ -142,23 +132,15 @@ def airy_quotient(x, mu, nu, k: float):
     (1 + x - mu^2/nu^2) and the same without x.  The exponentially scaled
     values of :func:`airy.ai_scaled_on_ray` keep the quotient representable
     when numerator and denominator leave double range (large |zeta| with
-    mu^2 > nu^2).  Arrays are evaluated in blocks of leading-axis rows, so
-    temporaries stay block-sized whatever the grid.
+    mu^2 > nu^2).  One broadcast expression over the whole input: the only
+    block loop is the one over s-columns in :func:`exact_solution`.
     """
-    x, mu, nu = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                      for a in (x, mu, nu)))
+    x, mu, nu = (np.asarray(a, dtype=float) for a in (x, mu, nu))
     if np.any(nu >= 0):
         raise DomainError("airy_quotient is implemented for nu < 0")
-    shape = mu.shape
-    x, mu, nu = (np.atleast_1d(a) for a in (x, mu, nu))
-    out = np.empty(mu.shape, dtype=complex)
-    rows = max(1, _QUOTIENT_BLOCK//max(1, mu[:1].size))
-    for i in range(0, len(mu), rows):
-        blk = slice(i, i + rows)
-        _, qx, q0 = _scaled_branch(x[blk], mu[blk], nu[blk], k)
-        out[blk] = (airy.ai_scaled_on_ray(qx)/airy.ai_scaled_on_ray(q0)
-                    * np.exp(airy.ray_exponent(q0) - airy.ray_exponent(qx)))
-    return out.reshape(shape)[()]
+    _, qx, q0 = _scaled_branch(x, mu, nu, k)
+    return (airy.ai_scaled_on_ray(qx)/airy.ai_scaled_on_ray(q0)
+            * np.exp(airy.ray_exponent(q0) - airy.ray_exponent(qx)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +250,11 @@ def phase_full(t: float, x: float, y: float, z: float,
             - anu**(2.0/3.0)*(1.0 - mu*mu/(nu*nu))*T + T**3/3.0)
 
 
+def _reciprocal_bracket(T, k: float, z0):
+    """i k^{1/3} T - omega Ai'/Ai(z0), z0 = zeta(0, k mu, k nu)."""
+    return 1j*k**(1.0/3.0)*np.asarray(T) - airy.OMEGA*airy.airy_ratio(z0)
+
+
 def reciprocal_airy_factor(T, mu: float, nu: float, k: float):
     """Integrand factor i k^{1/3} T - omega Ai'/Ai(zeta(0, k mu, k nu)).
 
@@ -275,10 +262,7 @@ def reciprocal_airy_factor(T, mu: float, nu: float, k: float):
     dT / (2 pi W(0)) this reproduces 1/Ai(zeta(0, k mu, k nu)); the factor
     itself is what multiplies the amplitude of the reflected-wave integral.
     """
-    z0 = zeta_scaled(0.0, mu, nu, k).value
-    ratio = airy.airy_ratio(z0)
-    return 1j*k**(1.0/3.0)*np.asarray(T) - _OMEGA*ratio if np.ndim(T) \
-        else 1j*k**(1.0/3.0)*T - _OMEGA*ratio
+    return _reciprocal_bracket(T, k, zeta_scaled(0.0, mu, nu, k).value)
 
 
 def amplitude_Z(k: float, x: float, mu, nu, T):
@@ -296,8 +280,7 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
         raise ValueError("k must be positive")
     _, qx, q0 = _scaled_branch(x, mu, nu, k)
     front = k**(11.0/6.0)/(np.sqrt(2.0)*(2.0*np.pi)**3*airy.WRONSKIAN_ZERO)
-    return front*(1j*k**(1.0/3.0)*np.asarray(T)
-                  - _OMEGA*airy.airy_ratio(_RAY*q0))*(_RAY*qx)**-0.25
+    return front*_reciprocal_bracket(T, k, airy.RAY*q0)*(airy.RAY*qx)**-0.25
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +311,10 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
     return float(rate_z.max()), float(rate_s.max()), float(rate_nu.max())
 
 
+#: grid points per block of s-columns in exact_solution (158 at k = 1e3)
+_QUOTIENT_BLOCK = 1 << 17
+
+
 def _axis_nodes(lo, hi, rate_per_unit, k, max_panels=700):
     """Kronrod nodes/weights (K and G variants) tiling [lo, hi]."""
     cycles = (hi - lo)*rate_per_unit*k/(2.0*math.pi)
@@ -339,7 +326,7 @@ def _axis_nodes(lo, hi, rate_per_unit, k, max_panels=700):
 
 
 def exact_solution(x: float, y: float, t: float, k: float,
-                   tol: float = 0.02, data_scale: float = 1.0) -> QuadratureResult:
+                   tol: float = 0.02) -> QuadratureResult:
     """Evaluate the reflected wave from its three-fold representation.
 
     Integrates (k/2 pi)^{3/2} times the (z, s, nu) integrand
@@ -351,11 +338,9 @@ def exact_solution(x: float, y: float, t: float, k: float,
     Kronrod panels are used on all three axes with per-axis embedded-Gauss
     error estimates; if the summed estimate exceeds ``tol`` relative the
     result is returned flagged (``converged=False``) rather than raised.
-    The tensor rule is summed over blocks of s-columns, so only the nu x z
-    factor is held whole: 13 MB at k = 1e3 and 76 MB at k = 1e4.
-
-    ``data_scale`` multiplies the boundary data; the representation is
-    linear in it, so the result scales exactly.
+    The tensor rule is summed over blocks of s-columns, one
+    :func:`airy_quotient` call each (the oracle's one block loop), so only
+    the nu x z factor is held whole: 13 MB at k = 1e3 and 76 MB at k = 1e4.
     """
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
@@ -371,7 +356,7 @@ def exact_solution(x: float, y: float, t: float, k: float,
     span_lo = max(1e-6, y - 0.85*z_max)
     span_hi = min(y + 0.85*z_max, 2.0*math.sqrt(1.0 + x)*(1.0 - 1e-12))
     spans = np.linspace(span_lo, span_hi, 41)
-    rvals = np.array([root_r(x, sp_, 0.0) for sp_ in spans])
+    rvals = root_r(x, 0.0, -spans)
     s_star = np.concatenate([(-1.0 - nu_half)*(1.0 + rvals),
                              (-1.0 + nu_half)*(1.0 + rvals)])
     pad = 0.2
@@ -412,7 +397,7 @@ def exact_solution(x: float, y: float, t: float, k: float,
         v_kkg += eg @ wsk[blk]
         v_gkk += (pk @ ((FZG @ K0[gauss])*Q)) @ wsk[blk]
 
-    pref = data_scale*(k/(2.0*math.pi))**1.5
+    pref = (k/(2.0*math.pi))**1.5
     value = pref*v_kkk
     err = pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk) + abs(v_kkk - v_kkg))
     converged = err <= tol*(1.0 + abs(value))

@@ -145,19 +145,22 @@ def suite_beam() -> VerificationReport:
                 raybeam.flow_general(p0, yv)) - h0))
     rep.add("hamiltonian_conservation", 0.0, cons, 1e-10)
 
-    onray = max(abs(raybeam.beam_field(v*v/4.0, v, v + v**3/12.0, 50.0)
-                    - raybeam.beam_matrix(v).a) for v in ys)
+    onray = max(abs(raybeam.beam_field(p.x, p.y, p.t, 50.0)
+                    - raybeam.beam_matrix(p.y).a)
+                for p in map(raybeam.central_ray, ys))
     rep.add("field_equals_amplitude_on_ray", 0.0, onray, 1e-12)
     return rep
 
 
-def _variational_ode_oracle(y1: float, step: float = 1e-3):
+def _variational_ode_oracle(ys, step: float = 1e-3):
     """RK4 integration of the variational system of the reduced flow.
 
     The variations solve d(dx)/dy = dxi, d(dt)/dy = -tau dx - (1+x) dtau,
     d(dxi)/dy = tau dtau, d(dtau)/dy = 0 along the central ray, with the
     eta component of the data held at zero; columns start from
-    (1, 0, i, 0) and (0, 1, 0, i).
+    (1, 0, i, 0) and (0, 1, 0, i).  Each side of y = 0 is integrated once,
+    with h = y/n, n = round(|y|/step) at its farthest y, and (V, W) is read
+    off at each of ``ys`` (multiples of ``step``) after round(|y|/step) steps.
     """
     def rhs(y, S):
         V = S[:4].reshape(2, 2)
@@ -169,26 +172,31 @@ def _variational_ode_oracle(y1: float, step: float = 1e-3):
         Dm = np.array([[0.0, tau], [0.0, 0.0]])
         return np.concatenate([(A @ V + B @ W).ravel(), (Dm @ W).ravel()])
 
-    S = np.concatenate([np.eye(2, dtype=complex).ravel(),
-                        (1j*np.eye(2)).ravel()])
-    n = max(1, int(round(abs(y1)/step)))
-    h = y1/n
-    y = 0.0
-    for _ in range(n):
-        k1 = rhs(y, S)
-        k2 = rhs(y + h/2, S + h/2*k1)
-        k3 = rhs(y + h/2, S + h/2*k2)
-        k4 = rhs(y + h, S + h*k3)
-        S = S + h/6*(k1 + 2*k2 + 2*k3 + k4)
-        y += h
-    return S[:4].reshape(2, 2), S[4:].reshape(2, 2)
+    S0 = np.concatenate([np.eye(2, dtype=complex).ravel(),
+                         (1j*np.eye(2)).ravel()])
+    states = {}
+    for side in (-1.0, 1.0):
+        stops = {int(round(abs(y)/step)): y for y in ys if side*y > 0}
+        n = max(stops, default=0)
+        h, S, y = (stops[n]/n if n else 0.0), S0, 0.0
+        for i in range(1, n + 1):
+            k1 = rhs(y, S)
+            k2 = rhs(y + h/2, S + h/2*k1)
+            k3 = rhs(y + h/2, S + h/2*k2)
+            k4 = rhs(y + h, S + h*k3)
+            S = S + h/6*(k1 + 2*k2 + 2*k3 + k4)
+            y += h
+            if i in stops:
+                states[stops[i]] = S
+    return [(S[:4].reshape(2, 2), S[4:].reshape(2, 2))
+            for S in (states.get(y, S0) for y in ys)]
 
 
 def suite_appendix1() -> VerificationReport:
     rep = VerificationReport("appendix1")
     dev_v = dev_w = dev_m = 0.0
-    for yv in np.linspace(-3.0, 3.0, 13):
-        Vo, Wo = _variational_ode_oracle(yv)
+    ys = np.linspace(-3.0, 3.0, 13)
+    for yv, (Vo, Wo) in zip(ys, _variational_ode_oracle(ys)):
         V, W = raybeam.variational_matrices(yv)
         frame = raybeam.beam_matrix(yv)
         dev_v = max(dev_v, np.abs(V - Vo).max())
@@ -226,7 +234,7 @@ def suite_appendix2(x_grid=(0.25, 0.5, 1.0, 2.0, 4.0)) -> VerificationReport:
         rep.add("phi_zzz[x=%g]" % x, sp_.c3, dphi[3].real, 1e-4)
         rep.add("phi_zzzz[x=%g]" % x, sp_.c4, dphi[4].real, 1e-4)
 
-        t0 = y0 + y0**3/12.0
+        t0 = raybeam.central_ray(y0).t
         dg = richardson_derivatives(
             lambda w: (stationary.B_of_z(w)
                        - stationary.C_of(x, y0, w, t0)), 0.0, h)

@@ -250,7 +250,7 @@ def test_criterion_11_quadrature_battery():
     from grazebeam.quadrature import integrate_nd
     fr = integrate_nd(IntegrandSpec(
         lambda u, v: np.exp((1j - 0.1)*(u*u + v*v)),
-        (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0), 2, 1e-9)
+        (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0), 1e-9)
     e_fres = abs(fr.value - math.pi/(0.1 - 1j))/abs(math.pi/(0.1 - 1j))
 
     ok = (e_gauss <= 1e-12 and e_osc <= 1e-10 and e_quart <= 1e-12

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from grazebeam import cli
 from grazebeam.cli import main
 
 
@@ -179,6 +180,40 @@ class TestInvalidInput:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("ray", "trace", "--y", "0:10:1"),
+        ("ray", "trace", "--y", ",".join(str(i) for i in range(11))),
+        ("beam", "on-ray", "--x", "0:1:0.1"),
+        ("beam", "field", "--x", "0,1,2", "--y", "0,1", "--t", "0,1",
+         "--k", "10"),
+        ("graze", "w", "--x", "1,2,3,4", "--k", "1e3,1e4,1e5",
+         "--method", "u-integral"),
+    ])
+    def test_value_count_bounded(self, capsys, monkeypatch, argv):
+        # 11 values or 12 grid cells against a limit of 10; raising=False
+        # keeps the patch harmless where the limit does not exist
+        monkeypatch.setattr(cli, "MAX_VALUES", 10, raising=False)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert "more than 10 values" in lines[0]
+
+    def test_value_count_at_limit_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_VALUES", 10, raising=False)
+        code, out = run_cli(capsys, "ray", "trace", "--y", "1:10:1")
+        assert code == 0 and len(out.strip().splitlines()) == 11
+
+    def test_range_overflowing_to_inf_rejected(self, capsys):
+        # (stop - start)/step overflows to inf for these finite bounds
+        code = main(["ray", "trace", "--y=-1e308:1e308:1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
 
     @pytest.mark.parametrize("flag, env", [
         ("0", None), ("-1", None), (None, "0"), (None, "-1"),

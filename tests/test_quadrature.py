@@ -72,7 +72,7 @@ class TestIntegrateNd:
     def test_product_gaussian(self):
         spec = IntegrandSpec(lambda u, v: np.exp(-u*u - v*v),
                              (DampingProfile(1.0, 2), DampingProfile(1.0, 2)))
-        res = integrate_nd(spec, 2, 1e-10)
+        res = integrate_nd(spec, 1e-10)
         assert abs(res.value - math.pi) <= 1e-10
 
     def test_damped_fresnel_vs_closed_form(self):
@@ -81,7 +81,7 @@ class TestIntegrateNd:
             lambda u, v: np.exp((1j - 0.1)*(u*u + v*v)),
             (DampingProfile(0.1, 2), DampingProfile(0.1, 2)),
             oscillation_scale=14.0)
-        res = integrate_nd(spec, 2, 1e-9)
+        res = integrate_nd(spec, 1e-9)
         exact = math.pi/(0.1 - 1j)
         assert abs(res.value - exact)/abs(exact) <= 1e-8
 

@@ -27,6 +27,22 @@ from conftest import reduced_flow_rhs, rk4
 _Y = st.floats(-50.0, 50.0, allow_nan=False)
 
 
+def _variational_rhs(y, S):
+    """Variations of the reduced flow along the central ray."""
+    V = S[:4].reshape(2, 2)
+    W = S[4:].reshape(2, 2)
+    x, tau = y*y/4.0, -1.0
+    A = np.array([[0.0, 0.0], [-tau, 0.0]])
+    B = np.array([[1.0, 0.0], [0.0, -(1.0 + x)]])
+    Dm = np.array([[0.0, tau], [0.0, 0.0]])
+    return np.concatenate([(A @ V + B @ W).ravel(), (Dm @ W).ravel()])
+
+
+# data (1, 0, i, 0) and (0, 1, 0, i)
+_VARIATIONAL_S0 = np.concatenate([np.eye(2, dtype=complex).ravel(),
+                                  (1j*np.eye(2)).ravel()])
+
+
 class TestRays:
     def test_central_ray_values(self):
         p = raybeam.central_ray(0.0)
@@ -115,23 +131,21 @@ class TestBeamFrame:
         assert np.linalg.det(V) == pytest.approx(5.0 + 2.0j, abs=1e-12)
 
     def test_variational_ode_oracle(self):
-        # variations of the reduced flow with data (1,0,i,0) and (0,1,0,i)
-        def rhs(y, S):
-            V = S[:4].reshape(2, 2)
-            W = S[4:].reshape(2, 2)
-            x, tau = y*y/4.0, -1.0
-            A = np.array([[0.0, 0.0], [-tau, 0.0]])
-            B = np.array([[1.0, 0.0], [0.0, -(1.0 + x)]])
-            Dm = np.array([[0.0, tau], [0.0, 0.0]])
-            return np.concatenate([(A @ V + B @ W).ravel(),
-                                   (Dm @ W).ravel()])
-
-        S0 = np.concatenate([np.eye(2, dtype=complex).ravel(),
-                             (1j*np.eye(2)).ravel()])
-        S = rk4(rhs, 0.0, S0, 3.0, 3000)
+        S = rk4(_variational_rhs, 0.0, _VARIATIONAL_S0, 3.0, 3000)
         V, W = raybeam.variational_matrices(3.0)
         assert np.abs(S[:4].reshape(2, 2) - V).max() <= 1e-8
         assert np.abs(S[4:].reshape(2, 2) - W).max() <= 1e-8
+
+    def test_suite_oracle_single_pass_matches_separate_runs(self):
+        # the appendix1 suite integrates each side of y = 0 once; at its
+        # grid points the values are those of a separate run to each point
+        from grazebeam.verification import _variational_ode_oracle
+        ys = np.linspace(-3.0, 3.0, 13)
+        for y, (V, W) in zip(ys, _variational_ode_oracle(ys)):
+            S = rk4(_variational_rhs, 0.0, _VARIATIONAL_S0, y,
+                    max(1, int(round(abs(y)/1e-3))))
+            assert np.array_equal(V, S[:4].reshape(2, 2))
+            assert np.array_equal(W, S[4:].reshape(2, 2))
 
     def test_beam_matrix_vertex_and_amplitude(self):
         frame = raybeam.beam_matrix(0.0)
@@ -189,6 +203,18 @@ class TestBeamFrame:
             D = raybeam.beam_matrix(y).D
             assert abs(D)**2 >= (1 + y*y)**2 + y**6/16.0 - 1e-12
             assert abs(D) >= 1.0
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(-50.0, 50.0))
+    def test_amplitude_continuous_from_vertex(self, y_end):
+        # a = D^{-1/2} followed from a(0) = 1 to y_end: |a'/a| = |D'/2D|
+        # is below 0.6, so neighbours 0.025 apart differ by under 2%; a
+        # flipped root is a jump of 2|a|
+        ys = np.linspace(0.0, y_end, 2001)
+        D, _, a = raybeam.closed_frame(ys)
+        assert a[0] == 1.0
+        assert np.abs(a*a*D - 1.0).max() <= 1e-12
+        assert np.max(np.abs(np.diff(a))/np.abs(a[:-1])) <= 0.1
 
 
 class TestBeamPhase:

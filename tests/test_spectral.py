@@ -46,11 +46,11 @@ class TestZeta:
         # may cancel
         size = abs(want.branch_factor)*(1.0 + x + (mu/nu)**2)
         scaled = spectral.zeta_scaled(x, mu, nu, k).value
-        for got in (spectral._RAY*qx, scaled):
+        for got in (airy.RAY*qx, scaled):
             assert abs(got - want.value) <= 1e-12*size
-        assert abs(spectral._RAY*scale - want.branch_factor) <= \
+        assert abs(airy.RAY*scale - want.branch_factor) <= \
             1e-12*abs(want.branch_factor)
-        assert abs(spectral._RAY*q0 - spectral.zeta(0.0, k*mu, k*nu).value) \
+        assert abs(airy.RAY*q0 - spectral.zeta(0.0, k*mu, k*nu).value) \
             <= 1e-12*size
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -65,6 +65,19 @@ class TestZeta:
         for r, c in zip(real, cplx):
             assert np.iscomplexobj(c)
             assert abs(c[0] - r[0]) <= 1e-13*size
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(-1.5, -0.5), st.floats(-2.0, 2.0),
+           st.floats(1e-12, 1e-3))
+    def test_neg_power_continues_across_real_axis(self, nu, alpha, eps):
+        # (-nu)^alpha on both sides of Im nu = 0 tends to the real |nu|^alpha
+        # (a flipped root would differ by 2|nu|^alpha); scalar and array
+        want = abs(nu)**alpha
+        for z in (nu + 1j*eps, nu - 1j*eps):
+            for got in (spectral.neg_power(z, alpha),
+                        spectral.neg_power(np.array([z]), alpha)[0]):
+                assert abs(got - want) <= 10.0*eps*want
+        assert abs(spectral.neg_power(nu + 0j, alpha) - want) <= 1e-15*want
 
     def test_tau_zero_raises(self):
         with pytest.raises(DomainError):
@@ -113,22 +126,13 @@ def _quotient_grid(rows, cols, k):
 
 class TestAiryQuotient:
     @pytest.mark.parametrize("k", [30.0, 300.0, 1000.0])
-    def test_matches_two_airye_formula(self, k, monkeypatch):
-        # 3 rows per block, 8 rows: two full blocks and a partial one
-        monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", 3*41)
+    def test_matches_two_airye_formula(self, k):
         mu, nu = _quotient_grid(8, 41, k)
         got = spectral.airy_quotient(0.8, mu, nu, k)
         ref = _quotient_two_airye(0.8, mu, nu, k)
         assert got.shape == mu.shape
         # elementwise, so that quotients both routes underflow to 0 agree
         assert np.all(np.abs(got - ref) <= 1e-12*np.abs(ref))
-
-    def test_block_size_does_not_change_values(self, monkeypatch):
-        mu, nu = _quotient_grid(7, 50, 300.0)
-        whole = spectral.airy_quotient(1.0, mu, nu, 300.0)
-        monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", 2*50)
-        blocked = spectral.airy_quotient(1.0, mu, nu, 300.0)
-        assert np.allclose(blocked, whole, rtol=1e-15, atol=0.0)
 
     def test_one_row_and_one_dimensional_grids(self):
         mu, nu = _quotient_grid(1, 60, 300.0)
@@ -182,7 +186,7 @@ class TestBoundaryHatFrozen:
         spec = IntegrandSpec(f2, (DampingProfile(k/32.0, 4),
                                   DampingProfile(k/2.0, 2)),
                              oscillation_scale=250.0)
-        oracle = integrate_nd(spec, 2, 1e-9).value
+        oracle = integrate_nd(spec, 1e-9).value
         got = spectral.boundary_hat_frozen(eta, tau, k, tol=1e-10)
         assert abs(got - oracle)/abs(oracle) <= 1e-6
 
@@ -382,11 +386,6 @@ def _full_grid_oracle(x, y, t, k, axes):
 
 
 class TestExactSolution:
-    def test_linearity_in_boundary_data(self):
-        q1 = spectral.exact_solution(0.5, 1.0, 1.0, 60.0)
-        q2 = spectral.exact_solution(0.5, 1.0, 1.0, 60.0, data_scale=2.0)
-        assert q2.value == 2.0*q1.value
-
     # at k = 60 the Gauss weights of the z, s and nu axes are scaled by
     # 0.5, 0.6 and 0.7 in both routes, so that each axis's term of the error
     # estimate is of the size of the value and is checked at 1e-12 of it
