@@ -9,7 +9,7 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
   maximally subdominant and series summation in double precision cannot
   reach 1e-10);
 * the large-|z| asymptotic form with its correction series, valid in the
-  sector |arg z| < pi - delta;
+  sector |arg z| < pi - 0.01;
 * the exponentially scaled Ai(z) exp(2 z^{3/2}/3) on the ray
   z = e^{-i pi/3} q, q real, which carries every Airy argument of the
   spectral oracle.  :func:`ai_scaled_on_ray` has two branches:
@@ -180,24 +180,23 @@ def wronskian(z: complex) -> complex:
     return ro.value*ai.derivative - ro.derivative*ai.value
 
 
-def airy_asymptotic(z: complex, order: int = 0, delta: float = 1e-2) -> complex:
+def airy_asymptotic(z: complex, order: int = 0) -> complex:
     """Large-|z| form of Ai with the correction series through ``order``.
 
     Returns (2 sqrt(pi) z^{1/4})^{-1} exp(-2 z^{3/2}/3) * sum_{n<=order}
-    (-1)^n u_n zeta^{-n} with zeta = 2 z^{3/2}/3, on principal branches.
-    Valid in the sector |arg z| < pi - delta and for |z| >= 2.
+    u_n (-1/zeta)^n with zeta = 2 z^{3/2}/3, on principal branches.
+    Valid in the sector |arg z| < pi - 0.01 and for |z| >= 2.
     """
     z = complex(z)
     if order < 0 or order > MAX_ASYMPTOTIC_ORDER:
         raise ValueError("order must be in [0, %d]" % MAX_ASYMPTOTIC_ORDER)
     if abs(z) < 2.0:
         raise DomainError("asymptotic form requires |z| >= 2")
-    if abs(np.angle(z)) >= np.pi - delta:
-        raise DomainError(
-            "arg z = %.3f outside the sector |arg z| < pi - %.3g"
-            % (np.angle(z), delta))
+    if abs(np.angle(z)) >= np.pi - 0.01:
+        raise DomainError("arg z = %.3f outside the sector |arg z| < pi - 0.01"
+                          % np.angle(z))
     zeta = (2.0/3.0)*z**1.5
-    series = sum((-1)**n*_U_COEFFS[n]*zeta**(-n) for n in range(order + 1))
+    series = _horner(_U_COEFFS[:order + 1], -1.0/zeta)
     return np.exp(-zeta)/(2.0*np.sqrt(np.pi)*z**0.25)*series
 
 

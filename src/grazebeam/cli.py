@@ -18,13 +18,11 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import List, Optional
 
 from . import grazing, raybeam, spectral, verification
 from .errors import NonConvergenceError
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _SPECTRAL_K_CAP = 1e4
 _METHODS = ("closed", "u-integral", "z-integral", "spectral")
@@ -40,34 +38,6 @@ EXIT_IO = 3
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated grid configuration for the amplitude-sweep commands."""
-
-    x_values: List[float]
-    k_values: List[Optional[float]]
-    method: str
-    tol: float
-    output_path: Optional[str]
-    thread_budget: int
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
-        if any(k is not None and k <= 0 for k in self.k_values):
-            raise UsageError("k values must be positive")
-        if self.method not in _METHODS:
-            raise UsageError("unknown method %r" % self.method)
-        if self.method == "spectral" and any(
-                k is not None and k > _SPECTRAL_K_CAP for k in self.k_values):
-            raise UsageError(
-                "spectral method refused for k > %g: the three-fold "
-                "quadrature budget grows too fast; use u-integral or "
-                "z-integral instead" % _SPECTRAL_K_CAP)
-        if self.thread_budget < 1:
-            raise UsageError("thread budget must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,18 +199,23 @@ def _graze_cell(cell):
 
 
 def _cmd_graze_w(args) -> int:
-    cfg = RunConfig(
-        x_values=_parse_values(args.x),
-        k_values=(_parse_values(args.k) if args.method != "closed"
-                  else [None]),
-        method=args.method,
-        tol=args.tol,
-        output_path=args.out,
-        thread_budget=_thread_budget(args))
-    _check_count(len(cfg.x_values)*len(cfg.k_values), "the x-k grid")
-    cells = [(x, k, cfg.method, cfg.tol)
-             for x in cfg.x_values for k in cfg.k_values]
-    rows = _map_cells(_graze_cell, cells, cfg.thread_budget)
+    xs = _parse_values(args.x)
+    ks = _parse_values(args.k) if args.method != "closed" else [None]
+    threads = _thread_budget(args)
+    if args.tol <= 0:
+        raise UsageError("tol must be positive")
+    if any(k is not None and k <= 0 for k in ks):
+        raise UsageError("k values must be positive")
+    if args.method == "spectral" and any(k > _SPECTRAL_K_CAP for k in ks):
+        raise UsageError(
+            "spectral method refused for k > %g: the three-fold "
+            "quadrature budget grows too fast; use u-integral or "
+            "z-integral instead" % _SPECTRAL_K_CAP)
+    if threads < 1:
+        raise UsageError("thread budget must be at least 1")
+    _check_count(len(xs)*len(ks), "the x-k grid")
+    cells = [(x, k, args.method, args.tol) for x in xs for k in ks]
+    rows = _map_cells(_graze_cell, cells, threads)
     lines = ["x,k,method,re_w,im_w,abs_w,re_closed,im_closed,rel_err,"
              "quad_err,status"]
     any_bad = False
@@ -250,7 +225,7 @@ def _cmd_graze_w(args) -> int:
             [_fmt(x), _fmt(k), method, _fmt(w.real), _fmt(w.imag),
              _fmt(abs(w)), _fmt(closed.real), _fmt(closed.imag),
              _fmt(rel), _fmt(qerr), status]))
-    code = _emit(lines, cfg.output_path)
+    code = _emit(lines, args.out)
     if code:
         return code
     return EXIT_NUMERICAL if any_bad else EXIT_OK

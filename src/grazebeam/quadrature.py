@@ -60,7 +60,7 @@ _MAX_PANELS = 20000
 
 @dataclass(frozen=True)
 class DampingProfile:
-    """Damping factor exp(-coefficient*|u - center|**power) bounding the tail.
+    """Damping factor exp(-coefficient*|u|**power) bounding the tail.
 
     ``scale`` bounds the integrand prefactor relative to its peak and enters
     the tail estimate multiplicatively.
@@ -68,7 +68,6 @@ class DampingProfile:
 
     coefficient: float
     power: int = 2
-    center: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
@@ -203,8 +202,8 @@ def integrate_1d(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     if not isinstance(prof, DampingProfile):
         raise TypeError("integrate_1d expects a single DampingProfile")
     R = truncation_radius(prof.coefficient, prof.power, tol/10.0, prof.scale)
-    value, err, n, ok = _adapt(spec.evaluator, prof.center - R,
-                               prof.center + R, tol, spec.oscillation_scale)
+    value, err, n, ok = _adapt(spec.evaluator, -R, R, tol,
+                               spec.oscillation_scale)
     result = QuadratureResult(value, err, R, n, ok)
     if not ok:
         raise NonConvergenceError(

@@ -147,28 +147,6 @@ def airy_quotient(x, mu, nu, k: float):
 # boundary data
 # ---------------------------------------------------------------------------
 
-def boundary_hat_frozen(eta: float, tau: float, k: float,
-                        tol: float = 1e-8) -> float | complex:
-    """Transform of the beam trace with the frame frozen at its vertex value.
-
-    Evaluates (2 pi / k)^{1/2} int e^{-i z eta}
-    exp[-i tau (z + z^3/12) - i k z^3/8 - k z^4/32 - (tau + k)^2/(2k)] dz
-    by damped adaptive quadrature (relative tolerance ``tol``).
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    gauss = math.exp(-(tau + k)**2/(2.0*k))
-    radius = truncation_radius(k/32.0, 4, tol/10.0)
-    osc = abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0
-
-    def f(z):
-        return np.exp(-1j*z*eta - 1j*tau*(z + z**3/12.0)
-                      - 1j*k*z**3/8.0 - k*z**4/32.0)
-
-    res = integrate_1d(IntegrandSpec(f, DampingProfile(k/32.0, 4), osc), tol)
-    return math.sqrt(2.0*math.pi/k)*gauss*res.value
-
-
 def boundary_exponent_frozen(z, mu, nu):
     """Frozen-frame boundary exponent rho with (eta, tau) = k (mu, nu).
 
@@ -204,22 +182,50 @@ def boundary_prefactor_full(z, k: float):
     return np.sqrt(2.0*np.pi/(-1j*k*M[1, 1]))*a
 
 
-def boundary_hat_full(eta: float, tau: float, k: float,
-                      tol: float = 1e-8) -> complex:
-    """Boundary transform with the full y-dependent frame and amplitude."""
+def _boundary_transform(eta: float, tau: float, k: float, tol: float,
+                        damping: float, integrand) -> complex:
+    """int integrand(z, mu, nu) dz at (mu, nu) = (eta, tau)/k.
+
+    Damped adaptive quadrature (error target tol (1 + |value|)/2) over the
+    window that e^{-damping z^4} cuts off, with the oscillation bound of
+    the beam phase over that window.
+    """
     if k <= 0:
         raise ValueError("k must be positive")
     mu, nu = eta/k, tau/k
-    radius = truncation_radius(0.7*k/32.0, 4, tol/10.0)
-    osc = (abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0)
+    radius = truncation_radius(damping, 4, tol/10.0)
+    osc = abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0
+    spec = IntegrandSpec(lambda z: integrand(z, mu, nu),
+                         DampingProfile(damping, 4), osc)
+    return integrate_1d(spec, tol).value
 
-    def f(z):
+
+def boundary_hat_frozen(eta: float, tau: float, k: float,
+                        tol: float = 1e-8) -> complex:
+    """Transform of the beam trace with the frame frozen at its vertex value.
+
+    (2 pi / k)^{1/2} int e^{-i k rho(z)} dz with rho =
+    :func:`boundary_exponent_frozen`.  Its constant term gives the factor
+    e^{-(tau + k)^2/(2k)}, applied after the quadrature so that the
+    adaptive error target, absolute below |value| = 1, acts on the bare
+    z-integral and not on a product that reaches 1e-30 far from tau = -k.
+    """
+    def f(z, mu, nu):
+        return np.exp(-1j*k*(boundary_exponent_frozen(z, mu, nu)
+                             - boundary_exponent_frozen(0.0, mu, nu)))
+
+    value = _boundary_transform(eta, tau, k, tol, k/32.0, f)
+    return math.sqrt(2.0*math.pi/k)*math.exp(-(tau + k)**2/(2.0*k))*value
+
+
+def boundary_hat_full(eta: float, tau: float, k: float,
+                      tol: float = 1e-8) -> complex:
+    """Boundary transform with the full y-dependent frame and amplitude."""
+    def f(z, mu, nu):
         return (boundary_prefactor_full(z, k)
                 * np.exp(-1j*k*boundary_exponent_full(z, mu, nu)))
 
-    res = integrate_1d(IntegrandSpec(f, DampingProfile(0.7*k/32.0, 4), osc),
-                       tol)
-    return res.value
+    return _boundary_transform(eta, tau, k, tol, 0.7*k/32.0, f)
 
 
 # ---------------------------------------------------------------------------

@@ -113,37 +113,48 @@ def stationary_point(x: float, y: float, z: float, nu: float,
     if nu >= 0:
         raise DomainError("stationary point defined for nu < 0")
     r = root_r(x, y, z)
-    s = nu*(1.0 + r)
-    sign = 1.0 if 4.0*x > (y - z)**2 else -1.0
-    T = sign*(-nu)**(1.0/3.0)*math.sqrt(max(1.0 - r*r, 0.0))
+    B, C = B_of_z(z), C_of(x, y, z, t, r)
+    sign, T = _t_star(x, y, z, nu, r)
     return StationaryData(
-        r=r, s=s, T=T, sign_branch=("+" if sign > 0 else "-"),
-        phi_sp=phi_sp(t, x, y, nu, z), J=hessian_J(x, nu, r),
-        B=B_of_z(z), C=C_of(x, y, z, t))
+        r=r, s=nu*(1.0 + r), T=float(T.real),
+        sign_branch=("+" if sign > 0 else "-"), phi_sp=_phi(nu, B, C),
+        J=float(hessian_J(x, nu, r).real), B=B, C=C)
+
+
+def _t_star(x: float, y: float, z, nu, r):
+    """(sign, T*) with T* = sign |nu|^{1/3} sqrt(1 - r^2), complex.
+
+    sign = +1 for 4x > (y - z)^2 and -1 otherwise; |nu|^{1/3} continues
+    through :func:`neg_power`, so nu may be complex.
+    """
+    sign = np.where(4.0*x > (y - z)**2, 1.0, -1.0)
+    return sign, sign*neg_power(nu, 1.0/3.0)*np.sqrt((1.0 - r*r) + 0j)
 
 
 def phi_sp(t: float, x: float, y: float, nu, z: float) -> complex:
     """Phase at the stationary point, Phi^sp = nu C + B + i (nu + 1)^2/2."""
-    return nu*C_of(x, y, z, t) + B_of_z(z) + 0.5j*(nu + 1.0)**2
+    return _phi(nu, B_of_z(z), C_of(x, y, z, t))
 
 
-def hessian_J(x: float, nu, r) -> float | complex:
+def _phi(nu, B, C):
+    return nu*C + B + 0.5j*(nu + 1.0)**2
+
+
+def hessian_J(x: float, nu, r) -> complex:
     """Hessian determinant of the phase in (s, T) at the stationary point.
 
     J = 4 |nu|^{-2/3} [ (x + 1 - r^2)^{-1/2} r^2 (1 - r^2)^{1/2}
         - (x + 1 - r^2)^{1/2} (1 - r^2)^{1/2} + (1 - r^2) - r^2 ];
     J = -4 |nu|^{-2/3} at the grazing value r = -1, and J < 0 nearby.
+    Complex: r and nu may be continued off the real axis.
     """
-    r = np.asarray(r)
+    r = np.asarray(r, dtype=complex)
     rad = x + 1.0 - r**2
     if np.any(np.real(rad) <= 0):
         raise DomainError("x + 1 - r^2 must be positive")
-    one = np.sqrt(np.maximum(1.0 - r**2, 0.0)) if np.isrealobj(r) \
-        else np.sqrt(1.0 - r**2)
+    one = np.sqrt(1.0 - r**2)
     bracket = rad**-0.5*r**2*one - np.sqrt(rad)*one + (1.0 - r**2) - r**2
-    out = 4.0*neg_power(nu, -2.0/3.0)*bracket
-    return float(np.real(out)) if (np.isrealobj(r) and np.ndim(out) == 0
-                                   and abs(np.imag(out)) < 1e-14) else out
+    return 4.0*neg_power(nu, -2.0/3.0)*bracket
 
 
 def B_of_z(z):
@@ -179,19 +190,21 @@ def C_of(x: float, y: float, z, t: float, r=None):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def nu_descent(x: float, y: float, z: float, t: float, k: float,
-               amp: Callable[[complex], complex]) -> complex:
+def nu_descent(x: float, y: float, z, t: float, k: float,
+               amp: Callable[[complex], complex], r=None):
     """Steepest descent of the nu-integral through the saddle nu = -1 + iC.
 
     int amp(nu) e^{ik(B + nu C + i(nu+1)^2/2)} dnu
         ~ (2 pi / k)^{1/2} amp(-1 + iC) e^{ik(B - C) - k C^2/2},
 
     leading order only (the Gaussian is exact for constant amp).
+    Elementwise over an array of z, with ``amp`` taking the array of
+    saddles; ``r`` is :func:`root_r` at z when the caller has it.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     B = B_of_z(z)
-    C = C_of(x, y, z, t)
+    C = C_of(x, y, z, t, r)
     return (math.sqrt(2.0*math.pi/k)*amp(-1.0 + 1j*C)
             * np.exp(1j*k*(B - C) - k*C*C/2.0))
 
@@ -199,28 +212,23 @@ def nu_descent(x: float, y: float, z: float, t: float, k: float,
 def reduced_integrand(x: float, y: float, t: float, k: float, z):
     """The one-dimensional z-integrand of the reflected wave (array-safe).
 
-    Assembles (2 pi/k)^{1/2} (2 pi/k) Z(k, x, nu r, nu, T*) |J|^{-1/2}
-    e^{ik(B - C) - k C^2/2} at the complex saddle nu = -1 + iC, with the
-    stationary T* continued through |nu|-powers of (-nu).  Decays like
-    e^{-k z^4/32} off the grazing point; finite and continuous across the
-    sign switch at z = y - 2 sqrt(x).
+    :func:`nu_descent` of (2 pi/k) Z(k, x, nu r, nu, T*) (-J)^{-1/2}, the
+    (s, T) stationary-phase amplitude, with T* and J continued to the
+    complex saddle nu = -1 + iC.  Decays like e^{-k z^4/32} off the
+    grazing point; finite and continuous across the sign switch at
+    z = y - 2 sqrt(x).
     """
     if x <= 0:
         raise DomainError("reduced integrand defined for x > 0")
     z = np.asarray(z, dtype=float)
-    scalar = np.ndim(z) == 0
-    zv = np.atleast_1d(z)
-    r = root_r(x, y, zv)
-    C = C_of(x, y, zv, t, r)
-    B = B_of_z(zv)
-    nu = -1.0 + 1j*C
-    sign = np.where(4.0*x > (y - zv)**2, 1.0, -1.0)
-    T = sign*neg_power(nu, 1.0/3.0)*np.sqrt((1.0 - r*r).astype(complex))
-    J = hessian_J(x, nu, r.astype(complex))
-    Z = amplitude_Z(k, x, nu*r, nu, T)
-    val = (math.sqrt(2.0*math.pi/k)*(2.0*math.pi/k)*Z*(-J)**-0.5
-           * np.exp(1j*k*(B - C) - k*C*C/2.0))
-    return complex(val[0]) if scalar else val
+    r = root_r(x, y, z)
+
+    def amp(nu):
+        T = _t_star(x, y, z, nu, r)[1]
+        return ((2.0*math.pi/k)*amplitude_Z(k, x, nu*r, nu, T)
+                * (-hessian_J(x, nu, r))**-0.5)
+
+    return nu_descent(x, y, z, t, k, amp, r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Each suite runs a battery of named checks and returns a
 :class:`VerificationReport`; ``overall`` is the conjunction of the
-per-check passes.  The suites intentionally include two checks that are
-known to fail for the closed-form beam frame (the first-order transport
-identity and the cubic-order eikonal decay); they are reported honestly
-rather than patched, see the notes in :mod:`grazebeam.raybeam`.
+per-check passes.  ``appendix1`` includes one check that is known to fail
+for the closed-form beam frame, the first-order transport identity; it is
+reported rather than patched, see the notes in :mod:`grazebeam.raybeam`.
+The eikonal residual decays quadratically off the ray, not at the nominal
+cubic order; no suite checks that, and a strict xfail in the tests
+records it.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ class VerificationReport:
         }
 
 
-def _halton(n, dim=2, skip=20):
-    """Deterministic low-discrepancy points in [0, 1)^dim."""
+def _halton(n):
+    """Deterministic low-discrepancy points in [0, 1)^2 (bases 2 and 3).
+
+    The first 20 points of the sequence are skipped.
+    """
     def vdc(i, base):
         v, denom = 0.0, 1.0
         while i:
@@ -69,9 +74,7 @@ def _halton(n, dim=2, skip=20):
             i, rem = divmod(i, base)
             v += rem/denom
         return v
-    primes = [2, 3, 5][:dim]
-    return np.array([[vdc(i + skip, p) for p in primes]
-                     for i in range(n)])
+    return np.array([[vdc(i + 20, p) for p in (2, 3)] for i in range(n)])
 
 
 def suite_airy() -> VerificationReport:
@@ -152,7 +155,7 @@ def suite_beam() -> VerificationReport:
     return rep
 
 
-def _variational_ode_oracle(ys, step: float = 1e-3):
+def _variational_ode_oracle(ys):
     """RK4 integration of the variational system of the reduced flow.
 
     The variations solve d(dx)/dy = dxi, d(dt)/dy = -tau dx - (1+x) dtau,
@@ -160,8 +163,10 @@ def _variational_ode_oracle(ys, step: float = 1e-3):
     eta component of the data held at zero; columns start from
     (1, 0, i, 0) and (0, 1, 0, i).  Each side of y = 0 is integrated once,
     with h = y/n, n = round(|y|/step) at its farthest y, and (V, W) is read
-    off at each of ``ys`` (multiples of ``step``) after round(|y|/step) steps.
+    off at each of ``ys`` (multiples of ``step`` = 1e-3) after
+    round(|y|/step) steps.
     """
+    step = 1e-3
     def rhs(y, S):
         V = S[:4].reshape(2, 2)
         W = S[4:].reshape(2, 2)
@@ -215,9 +220,9 @@ def suite_appendix1() -> VerificationReport:
     return rep
 
 
-def suite_appendix2(x_grid=(0.25, 0.5, 1.0, 2.0, 4.0)) -> VerificationReport:
+def suite_appendix2() -> VerificationReport:
     rep = VerificationReport("appendix2")
-    for x in x_grid:
+    for x in (0.25, 0.5, 1.0, 2.0, 4.0):
         y0 = 2.0*math.sqrt(x)
         h = min(0.03, 0.12*(2.0*math.sqrt(1.0 + x) - 2.0*math.sqrt(x)))
         d = richardson_derivatives(lambda w: stationary.root_r(x, y0, w),

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from grazebeam import airy, spectral
 from grazebeam.errors import BranchError, DomainError
-from grazebeam.quadrature import DampingProfile, IntegrandSpec
+from grazebeam.quadrature import (DampingProfile, IntegrandSpec,
+                                  integrate_1d, truncation_radius)
 
 
 class TestZeta:
@@ -207,6 +208,52 @@ class TestBoundaryHatFrozen:
         d1 = (f(50.0 + d) - f(50.0 - d))/(2*d)
         d2 = (f(50.0 + 2*d) - f(50.0 - 2*d))/(4*d)
         assert abs(d1 - d2)/abs(d1) <= 1e-4
+
+
+#: (tau + k)/sqrt(k) at which e^{-(tau + k)^2/(2k)} = 1e-30
+_GAUSS_1E30 = math.sqrt(2.0*math.log(1e30))
+
+
+def transform_written_out(f, eta, tau, k, damping, tol=1e-8):
+    """int f dz over the window and oscillation bound the transforms use."""
+    radius = truncation_radius(damping, 4, tol/10.0)
+    osc = abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0
+    return integrate_1d(IntegrandSpec(f, DampingProfile(damping, 4), osc),
+                        tol).value
+
+
+class TestBoundaryTransformsWrittenOut:
+    # eta = -tau puts the stationary point of the z-phase at z = 0, so the
+    # bare integrals are O(k^{-1/3}) even where the Gaussian is 1e-30
+    @pytest.mark.parametrize("shift", [0.0, -_GAUSS_1E30, _GAUSS_1E30])
+    @pytest.mark.parametrize("k", [100.0, 1e3, 1e4])
+    def test_frozen(self, k, shift):
+        tau = -k + shift*math.sqrt(k)
+        eta = -tau
+
+        def f(z):
+            return np.exp(-1j*z*eta - 1j*tau*(z + z**3/12.0)
+                          - 1j*k*z**3/8.0 - k*z**4/32.0)
+
+        want = (math.sqrt(2.0*math.pi/k)*math.exp(-(tau + k)**2/(2.0*k))
+                * transform_written_out(f, eta, tau, k, k/32.0))
+        got = spectral.boundary_hat_frozen(eta, tau, k)
+        assert abs(got - want) <= 1e-12*abs(want)
+
+    @pytest.mark.parametrize("shift", [0.0, -_GAUSS_1E30, _GAUSS_1E30])
+    @pytest.mark.parametrize("k", [100.0, 1e3, 1e4])
+    def test_full(self, k, shift):
+        tau = -k + shift*math.sqrt(k)
+        eta = -tau
+
+        def f(z):
+            return (spectral.boundary_prefactor_full(z, k)
+                    * np.exp(-1j*k*spectral.boundary_exponent_full(
+                        z, eta/k, tau/k)))
+
+        want = transform_written_out(f, eta, tau, k, 0.7*k/32.0)
+        got = spectral.boundary_hat_full(eta, tau, k)
+        assert abs(got - want) <= 1e-12*abs(want)
 
 
 class TestBoundaryHatFull:

@@ -15,6 +15,40 @@ def quartic_residual(r, x, y, z):
     return r**4*(x*x + yz*yz) - r*r*(x/2.0 + 1.0)*yz*yz + yz**4/16.0
 
 
+def counting_root_r(monkeypatch):
+    """Patch stationary.root_r to record its calls; returns the call list."""
+    calls = []
+    root_r = stationary.root_r
+
+    def counted(*args):
+        calls.append(args)
+        return root_r(*args)
+    monkeypatch.setattr(stationary, "root_r", counted)
+    return calls
+
+
+def reduced_written_out(x, y, t, k, z):
+    """The z-integrand assembled term by term from its closed forms.
+
+    T* = sign |nu|^{1/3} sqrt(1 - r^2) (+ for 4x > (y-z)^2), J, and the
+    saddle step (2 pi/k)^{1/2} amp(-1 + iC) e^{ik(B - C) - k C^2/2} of
+    amp = (2 pi/k) Z (-J)^{-1/2}, at nu = -1 + iC.
+    """
+    z = np.asarray(z, dtype=float)
+    r = stationary.root_r(x, y, z)
+    C = stationary.C_of(x, y, z, t)
+    B = stationary.B_of_z(z)
+    nu = -1.0 + 1j*C
+    one = np.sqrt(1.0 - r*r + 0j)
+    T = np.where(4.0*x > (y - z)**2, 1.0, -1.0)*(-nu)**(1.0/3.0)*one
+    rad = x + 1.0 - r*r
+    J = 4.0*(-nu)**(-2.0/3.0)*(r*r*one/np.sqrt(rad) - np.sqrt(rad)*one
+                                + 1.0 - 2.0*r*r)
+    Z = spectral.amplitude_Z(k, x, nu*r, nu, T)
+    return (math.sqrt(2.0*math.pi/k)*(2.0*math.pi/k)*Z/np.sqrt(-J)
+            * np.exp(1j*k*(B - C) - k*C*C/2.0))
+
+
 class TestRootR:
     def test_grazing_value(self):
         assert stationary.root_r(1.0, 2.0, 0.0) == -1.0
@@ -104,6 +138,16 @@ class TestStationaryPoint:
         assert np.abs(np.diff(Ts)).max() <= 0.6*(zs[1] - zs[0]) + 1e-9
         slope = np.polyfit(zs, Ts, 1)[0]
         assert slope == pytest.approx(0.5, rel=0.05)
+
+    def test_solves_the_root_once(self, monkeypatch):
+        calls = counting_root_r(monkeypatch)
+        x, y, z, nu, t = 1.0, 2.2, 0.1, -1.05, 0.3
+        sd = stationary.stationary_point(x, y, z, nu, t)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert sd.C == stationary.C_of(x, y, z, t)
+        assert sd.phi_sp == stationary.phi_sp(t, x, y, nu, z)
+        assert isinstance(sd.T, float) and isinstance(sd.J, float)
 
 
 class TestPhiSp:
@@ -245,11 +289,11 @@ class TestNuDescent:
         B = stationary.B_of_z(z)
         C = stationary.C_of(x, y, z, t)
 
-        def f(nu):
-            return np.exp(1j*k*(B + nu*C + 0.5j*(nu + 1.0)**2))
+        def f(u):                      # u = nu + 1
+            return np.exp(1j*k*(B + (u - 1.0)*C + 0.5j*u**2))
 
         direct = integrate_1d(
-            IntegrandSpec(f, DampingProfile(k/2.0, 2, center=-1.0),
+            IntegrandSpec(f, DampingProfile(k/2.0, 2),
                           oscillation_scale=k*abs(C) + 1), 1e-11).value
         formula = stationary.nu_descent(x, y, z, t, k, lambda nu: 1.0)
         assert abs(direct - formula)/abs(formula) <= 1e-2
@@ -265,8 +309,39 @@ class TestNuDescent:
         want = -k*(B.imag + C*C/2.0) + 0.5*math.log(2*math.pi/k)
         assert math.log(abs(got)) == pytest.approx(want, abs=1e-12)
 
+    def test_array_equals_scalar_loop(self):
+        x, y, k = 1.0, 2.2, 1e3
+        t = y + y**3/12.0
+        zs = np.linspace(-0.3, 0.7, 21)
+
+        def amp(nu):
+            return (nu + 2.0)**1.5
+
+        loop = np.array([stationary.nu_descent(x, y, z, t, k, amp)
+                         for z in zs])
+        got = stationary.nu_descent(x, y, zs, t, k, amp)
+        assert np.allclose(got, loop, rtol=1e-15, atol=0.0)
+        given_root = stationary.nu_descent(x, y, zs, t, k, amp,
+                                           stationary.root_r(x, y, zs))
+        assert np.array_equal(given_root, got)
+
 
 class TestReducedIntegrand:
+    @pytest.mark.parametrize("k", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("x", [0.25, 1.0, 4.0])
+    def test_matches_written_out_formula(self, x, k):
+        # both sides of the grazing point z0 = y - 2 sqrt(x) = 0.2
+        y = 2.0*math.sqrt(x) + 0.2
+        t = y + y**3/12.0
+        zs = 0.2 + np.linspace(-0.25, 0.35, 25)
+        want = reduced_written_out(x, y, t, k, zs)
+        got = stationary.reduced_integrand(x, y, t, k, zs)
+        assert np.all(np.abs(got - want) <= 1e-13*np.abs(want))
+        for z in (0.15, 0.25):
+            want = reduced_written_out(x, y, t, k, z)
+            got = stationary.reduced_integrand(x, y, t, k, z)
+            assert abs(got - want) <= 1e-13*abs(want)
+
     def test_quartic_decay_rate(self):
         # the e^{-k z^4/32} damping wins over the k^{1/3} z amplitude
         # growth once k z^4/32 >> 1; at k = 1e3 the integrand still humps
@@ -297,23 +372,17 @@ class TestReducedIntegrand:
 
     @pytest.mark.parametrize("z", [0.1, np.linspace(-0.5, 0.5, 41)])
     def test_solves_the_root_once(self, z, monkeypatch):
-        calls = []
-        root_r = stationary.root_r
-
-        def counted(*args):
-            calls.append(args)
-            return root_r(*args)
-        monkeypatch.setattr(stationary, "root_r", counted)
+        calls = counting_root_r(monkeypatch)
         x, y, t = 1.0, 2.2, 2.2 + 2.2**3/12.0
         val = stationary.reduced_integrand(x, y, t, 1e3, z)
         assert np.all(np.isfinite(val))
         assert len(calls) == 1
         # and C formed from the root passed in is C solved on its own
-        monkeypatch.setattr(stationary, "root_r", root_r)
+        monkeypatch.undo()
         zv = np.atleast_1d(z)
         assert np.array_equal(stationary.C_of(x, y, zv, t),
                               stationary.C_of(x, y, zv, t,
-                                              root_r(x, y, zv)))
+                                              stationary.root_r(x, y, zv)))
 
 
 class TestSeries:
