@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The headline computation: the wave amplitude after grazing the boundary.
 
-Oner the central ray the reflected wave collapses to a one-dimensional
+On the central ray the reflected wave collapses to a one-dimensional
 integral whose k -> infinity limit is the closed form
 w = (1/2)(1 - x + 2 i sqrt(x))^{-1/2}, with |w| = (1/2)(1 + x)^{-1/2}.
 The emerging field v - w is then very nearly half the incident beam near
@@ -19,13 +19,13 @@ for k in (1e3, 1e4, 1e5, 1e6):
     devs = []
     for x in (0.5, 1.0):
         wc = grazing.w_on_ray_closed(x)
-        wu = grazing.u_integral(x, k).w_value
+        wu = grazing.u_integral(x, k).value
         devs.append(abs(wu - wc)/abs(wc))
     print("  %7.0e   %.4f    %.4f" % (k, devs[0], devs[1]))
 
 print("\ncross-check of the two finite-k routes at k = 1e5 (x = 1):")
-wz = grazing.z_integral(1.0, 1e5).w_value
-wu = grazing.u_integral(1.0, 1e5).w_value
+wz = grazing.z_integral(1.0, 1e5).value
+wu = grazing.u_integral(1.0, 1e5).value
 print("  z-route %s" % wz)
 print("  u-route %s   (rel diff %.4f)" % (wu, abs(wz - wu)/abs(wu)))
 

@@ -23,7 +23,7 @@ print("direct w(x=%.1f, on-ray, k=%g) = %s" % (x, k, on.value))
 print("  error estimate %.1e, %d panels, converged=%s  [%.1fs]"
       % (on.error_estimate, on.panel_count, on.converged, time.time() - t0))
 
-wu = grazing.u_integral(x, k).w_value
+wu = grazing.u_integral(x, k).value
 wc = grazing.w_on_ray_closed(x)
 print("\nagainst the asymptotic routes:")
 print("  u-integral route   %s   (rel diff %.3f)"

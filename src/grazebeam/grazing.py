@@ -26,43 +26,32 @@ they share the slowly converging Airy-ratio factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import airy
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .fd import stencil_derivatives
-from .quadrature import (DampingProfile, IntegrandSpec, integrate_1d,
-                         truncation_radius)
+from .quadrature import (DampingProfile, IntegrandSpec, QuadratureResult,
+                         integrate_1d, truncation_radius)
 from .raybeam import beam_on_ray, central_ray
+from .spectral import exact_solution
 from .stationary import C_of, quartic_coefficient, reduced_integrand
 
 __all__ = [
     "DerivativeConsistencyReport",
-    "GrazingResult",
     "closed_form_identity_check",
     "constant_c",
     "derivative_consistency",
     "limit_integral",
     "quartic_moment",
     "reflected_amplitude",
+    "spectral_on_ray",
     "u_integral",
     "w_on_ray_closed",
     "z_integral",
 ]
-
-
-@dataclass(frozen=True)
-class GrazingResult:
-    """A grazing-amplitude evaluation tagged with its method."""
-
-    x: float
-    k: Optional[float]          # None for the k-independent closed form
-    w_value: complex
-    method: str                 # u-integral | z-integral | spectral | closed-form
-    error_estimate: float
 
 
 def constant_c() -> complex:
@@ -82,8 +71,13 @@ def quartic_moment(b: complex) -> complex:
     return 0.25*math.sqrt(math.pi)*b**-0.5
 
 
-def u_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
-    """The u-integral route at finite k (damping e^{-u^4/32})."""
+def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
+    """The u-integral route at finite k (damping e^{-u^4/32}).
+
+    Like every finite-k route here it returns its w in w units with the
+    quadrature's error, window radius and panel count; on a spent panel
+    budget the best estimate comes back flagged ``converged=False``.
+    """
     if x <= 0:
         raise DomainError("x must be positive")
     if k < 10:
@@ -98,12 +92,15 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
 
     U = truncation_radius(1.0/32.0, 4, 1e-14)
     osc = 4.0*abs(a)*U**3 + 1.0
-    res = integrate_1d(IntegrandSpec(f, DampingProfile(1.0/32.0, 4,
-                                                       scale=4.0*U*k112*k16),
-                                     osc), tol)
+    spec = IntegrandSpec(f, DampingProfile(1.0/32.0, 4, scale=4.0*U*k112*k16),
+                         osc)
+    try:
+        res = integrate_1d(spec, tol)
+    except NonConvergenceError as exc:
+        res = exc.result
     c = constant_c()
-    return GrazingResult(x, k, complex(c/x**0.25*res.value), "u-integral",
-                         abs(c)/x**0.25*res.error_estimate)
+    return replace(res, value=complex(c/x**0.25*res.value),
+                   error_estimate=abs(c)/x**0.25*res.error_estimate)
 
 
 def _z_route(x: float, y: float, t: float, k: float, tol: float):
@@ -133,14 +130,23 @@ def _z_route(x: float, y: float, t: float, k: float, tol: float):
     return integrate_1d(IntegrandSpec(f, damping, osc), tol)
 
 
-def z_integral(x: float, k: float, tol: float = 1e-9) -> GrazingResult:
+def z_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     """The one-dimensional z-route on the ray (reduced integrand integrated)."""
     if x <= 0:
         raise DomainError("x must be positive")
     ray = central_ray(2.0*math.sqrt(x))
-    res = _z_route(x, ray.y, ray.t, k, tol)
-    return GrazingResult(x, k, complex(res.value), "z-integral",
-                         float(res.error_estimate))
+    try:
+        return _z_route(x, ray.y, ray.t, k, tol)
+    except NonConvergenceError as exc:
+        return exc.result
+
+
+def spectral_on_ray(x: float, k: float, tol: float = 0.02) -> QuadratureResult:
+    """The three-fold Airy-quotient oracle at the ray point over x."""
+    if x <= 0:
+        raise DomainError("x must be positive")
+    ray = central_ray(2.0*math.sqrt(x))
+    return exact_solution(x, ray.y, ray.t, k, tol)
 
 
 def limit_integral(x: float) -> complex:

@@ -99,7 +99,7 @@ class QuadratureResult:
     error_estimate: float
     truncation_radius: float
     panel_count: int
-    converged: bool = True
+    converged: bool
 
 
 def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,

@@ -355,6 +355,11 @@ def exact_solution(x: float, y: float, t: float, k: float,
     tail = 1e-8
     z_max = (32.0*math.log(1.0/tail)/k)**0.25
     nu_half = math.sqrt(2.0*math.log(1.0/tail)/k)
+    if nu_half >= 1.0:
+        raise DomainError(
+            "the oracle needs k > 2 ln(1/tail) = %.4g so that its nu-window "
+            "-1 +- sqrt(2 ln(1/tail)/k) stays in nu < 0; got k = %g"
+            % (2.0*math.log(1.0/tail), k))
 
     # s-window from the stationary set s* = nu (1 + r(x, y - z)) over the
     # damped part of the z-window (admissible y - z only)

@@ -79,6 +79,31 @@ class TestGrazeW:
                           "--k", "100000", "--method", "spectral")
         assert code == 1
 
+    def test_spectral_small_k_refused_with_its_bound(self, capsys):
+        code = main(["graze", "w", "--x", "1", "--k", "36.8",
+                     "--method", "spectral"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "k > 2 ln(1/tail) = 36.84" in lines[0]
+        code, out = run_cli(capsys, "graze", "w", "--x", "1", "--k", "37",
+                            "--method", "spectral")
+        assert code == 0 and out.strip().endswith(",ok")
+
+    def test_non_converged_u_row_reports_w(self, capsys):
+        args = ["graze", "w", "--x", "1", "--k", "1000",
+                "--method", "u-integral"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        ok = out.strip().splitlines()[1].split(",")
+        code, out = run_cli(capsys, *(args + ["--tol", "1e-17"]))
+        assert code == 2
+        flagged = out.strip().splitlines()[1].split(",")
+        assert flagged[-1] == "non-converged"
+        w_ok = complex(float(ok[3]), float(ok[4]))
+        w_flagged = complex(float(flagged[3]), float(flagged[4]))
+        assert abs(w_flagged - w_ok) <= 1e-9*abs(w_ok)
+
     def test_byte_stable_output(self, capsys):
         args = ("graze", "w", "--x", "0.5,1", "--k", "1000",
                 "--method", "u-integral")
@@ -92,17 +117,6 @@ class TestGrazeW:
         _, serial = run_cli(capsys, *args)
         _, pooled = run_cli(capsys, *(args + ["--threads", "4"]))
         assert serial == pooled
-
-    def test_thread_env_override(self, capsys, monkeypatch):
-        args = ["graze", "w", "--x", "0.5", "--k", "1000",
-                "--method", "u-integral"]
-        _, serial = run_cli(capsys, *args)
-        monkeypatch.setenv("GRAZEBEAM_THREADS", "3")
-        _, pooled = run_cli(capsys, *args)
-        assert serial == pooled
-        monkeypatch.setenv("GRAZEBEAM_THREADS", "zebra")
-        code, _ = run_cli(capsys, *args)
-        assert code == 1
 
     def test_nonpositive_tol_usage_error(self, capsys):
         code, _ = run_cli(capsys, "graze", "w", "--x", "1", "--k", "1000",
@@ -215,16 +229,10 @@ class TestInvalidInput:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
 
-    @pytest.mark.parametrize("flag, env", [
-        ("0", None), ("-1", None), (None, "0"), (None, "-1"),
-    ])
-    def test_thread_budget_below_one_rejected(self, capsys, monkeypatch,
-                                              flag, env):
-        argv = ["graze", "w", "--x", "1", "--method", "closed"]
-        if flag is not None:
-            argv += ["--threads", flag]
-        if env is not None:
-            monkeypatch.setenv("GRAZEBEAM_THREADS", env)
+    @pytest.mark.parametrize("flag", ["0", "-1"], ids=["0-None", "-1-None"])
+    def test_thread_budget_below_one_rejected(self, capsys, flag):
+        argv = ["graze", "w", "--x", "1", "--method", "closed",
+                "--threads", flag]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1

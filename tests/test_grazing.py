@@ -15,8 +15,8 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from grazebeam import airy, grazing, raybeam
-from grazebeam.errors import DomainError
+from grazebeam import airy, grazing, quadrature, raybeam, spectral
+from grazebeam.errors import DomainError, NonConvergenceError
 from grazebeam.quadrature import DampingProfile, IntegrandSpec, integrate_1d
 
 
@@ -134,13 +134,13 @@ class TestUIntegral:
         monkeypatch.setattr(scipy.special, "airye", refuse)
         monkeypatch.setattr(scipy.special, "airy", real_only)
         res = grazing.u_integral(0.5, 1e3)
-        assert np.isfinite(res.w_value)
+        assert np.isfinite(res.value)
         assert args and not any(np.iscomplexobj(a) for a in args)
 
     def test_monotone_k_ladder(self):
         for x in (0.5, 1.0):
             wc = grazing.w_on_ray_closed(x)
-            devs = [abs(grazing.u_integral(x, k).w_value - wc)/abs(wc)
+            devs = [abs(grazing.u_integral(x, k).value - wc)/abs(wc)
                     for k in (1e3, 1e4, 1e5, 1e6)]
             assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
 
@@ -148,7 +148,7 @@ class TestUIntegral:
         # deviation ~ k^{-1/6}: 8.7-8.9% at k = 1e6, not yet 5%
         for x, lo, hi in ((0.5, 0.07, 0.11), (1.0, 0.07, 0.11)):
             wc = grazing.w_on_ray_closed(x)
-            dev = abs(grazing.u_integral(x, 1e6).w_value - wc)/abs(wc)
+            dev = abs(grazing.u_integral(x, 1e6).value - wc)/abs(wc)
             assert lo <= dev <= hi
 
     @pytest.mark.parametrize("x", [0.5, 1.0])
@@ -158,13 +158,13 @@ class TestUIntegral:
         "first reached near k ~ 3e7 (see test_five_percent_band_at_high_k)"))
     def test_nominal_five_percent_at_k1e6(self, x):
         wc = grazing.w_on_ray_closed(x)
-        dev = abs(grazing.u_integral(x, 1e6).w_value - wc)/abs(wc)
+        dev = abs(grazing.u_integral(x, 1e6).value - wc)/abs(wc)
         assert dev <= 0.05
 
     def test_five_percent_band_at_high_k(self):
         x = 1.0
         wc = grazing.w_on_ray_closed(x)
-        dev = abs(grazing.u_integral(x, 4e7).w_value - wc)/abs(wc)
+        dev = abs(grazing.u_integral(x, 4e7).value - wc)/abs(wc)
         assert dev <= 0.05
 
     def test_truncation_tail_bound(self):
@@ -182,7 +182,7 @@ class TestUIntegral:
 
         u = np.linspace(-4.5, 4.5, 120001)
         narrow = grazing.constant_c()/x**0.25*np.trapezoid(f(u), u)
-        full = grazing.u_integral(x, k).w_value
+        full = grazing.u_integral(x, k).value
         scale = 4.5*k16*k112*abs(grazing.constant_c())
         assert abs(full - narrow) <= 20.0*scale*math.exp(-4.5**4/32.0)
 
@@ -192,14 +192,14 @@ class TestUIntegral:
 
     def test_modulus_bounded_by_one(self):
         for (x, k) in ((0.5, 1e3), (1.0, 1e5)):
-            assert abs(grazing.u_integral(x, k).w_value) <= 1.0
+            assert abs(grazing.u_integral(x, k).value) <= 1.0
 
 
 class TestZIntegral:
     def test_cross_method_agreement_at_1e5(self):
         x, k = 1.0, 1e5
-        wz = grazing.z_integral(x, k).w_value
-        wu = grazing.u_integral(x, k).w_value
+        wz = grazing.z_integral(x, k).value
+        wu = grazing.u_integral(x, k).value
         assert abs(wz - wu)/abs(wu) <= 0.02
         wc = grazing.w_on_ray_closed(x)
         assert abs(wz - wc)/abs(wc) <= 0.20
@@ -208,8 +208,8 @@ class TestZIntegral:
     def test_x_half_agreement_band(self):
         # at x = 0.5 the shared-route difference is larger; measured ~3.2%
         x, k = 0.5, 1e5
-        wz = grazing.z_integral(x, k).w_value
-        wu = grazing.u_integral(x, k).w_value
+        wz = grazing.z_integral(x, k).value
+        wu = grazing.u_integral(x, k).value
         assert abs(wz - wu)/abs(wu) <= 0.05
 
 
@@ -232,6 +232,64 @@ def _amos_and_four_terms(z):
     return out
 
 
+def _record_integrate_1d(monkeypatch):
+    """Route grazing's integrate_1d through a recorder of its results.
+
+    A spent panel budget is recorded as the result NonConvergenceError
+    carries, and the error is re-raised.
+    """
+    seen = []
+
+    def recording(spec, tol):
+        try:
+            res = integrate_1d(spec, tol)
+        except NonConvergenceError as exc:
+            seen.append(exc.result)
+            raise
+        seen.append(res)
+        return res
+    monkeypatch.setattr(grazing, "integrate_1d", recording)
+    return seen
+
+
+class TestResultContract:
+    """u_integral, z_integral and spectral_on_ray: one flagged result type."""
+
+    @pytest.mark.parametrize("route", ["u_integral", "z_integral"])
+    def test_carries_the_quadrature_window_and_panels(self, route,
+                                                      monkeypatch):
+        seen = _record_integrate_1d(monkeypatch)
+        res = getattr(grazing, route)(1.0, 1e3)
+        assert res.converged and len(seen) == 1
+        assert res.truncation_radius == seen[0].truncation_radius
+        assert res.panel_count == seen[0].panel_count
+
+    def test_u_spent_budget_returns_scaled_best_estimate(self, monkeypatch):
+        seen = _record_integrate_1d(monkeypatch)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        x = 2.0
+        res = grazing.u_integral(x, 1e3, tol=1e-17)
+        assert len(seen) == 1 and not seen[0].converged
+        assert not res.converged
+        c = grazing.constant_c()
+        assert res.value == complex(c/x**0.25*seen[0].value)
+        assert res.error_estimate == abs(c)/x**0.25*seen[0].error_estimate
+        assert res.panel_count == seen[0].panel_count
+
+    def test_z_spent_budget_returns_best_estimate(self, monkeypatch):
+        seen = _record_integrate_1d(monkeypatch)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        res = grazing.z_integral(1.0, 1e3, tol=1e-17)
+        assert len(seen) == 1 and not seen[0].converged
+        assert res == seen[0]
+
+    def test_spectral_on_ray_is_the_oracle_at_the_ray_point(self):
+        x, k = 0.5, 60.0
+        ray = raybeam.central_ray(2.0*math.sqrt(x))
+        assert (grazing.spectral_on_ray(x, k)
+                == spectral.exact_solution(x, ray.y, ray.t, k))
+
+
 class TestAiryRatioKernel:
     """Both routes against the AMOS + four-term Ai'/Ai they used before."""
 
@@ -242,17 +300,17 @@ class TestAiryRatioKernel:
             raise AssertionError("sp.airye called on the u-route")
         monkeypatch.setattr(scipy.special, "airye", refuse)
         for x, k in self.CELLS:
-            assert np.isfinite(grazing.u_integral(x, k).w_value)
+            assert np.isfinite(grazing.u_integral(x, k).value)
 
     @pytest.mark.parametrize("x,k", CELLS)
     def test_routes_match_the_previous_kernel(self, x, k, monkeypatch):
-        wu = grazing.u_integral(x, k).w_value
-        wz = grazing.z_integral(x, k).w_value
+        wu = grazing.u_integral(x, k).value
+        wz = grazing.z_integral(x, k).value
         monkeypatch.setattr(airy, "ratio_on_ray", lambda q: (
             _amos_and_four_terms(np.exp(-1j*np.pi/3)*np.asarray(q))))
         monkeypatch.setattr(airy, "airy_ratio", _amos_and_four_terms)
-        wu_before = grazing.u_integral(x, k).w_value
-        wz_before = grazing.z_integral(x, k).w_value
+        wu_before = grazing.u_integral(x, k).value
+        wz_before = grazing.z_integral(x, k).value
         # measured: at most 1.4e-11 (u) and 6.2e-11 (z) on these cells
         assert abs(wu - wu_before) <= 1e-10*abs(wu_before)
         assert abs(wz - wz_before) <= 1e-10*abs(wz_before)

@@ -490,6 +490,6 @@ class TestExactSolution:
         y = 2.0*math.sqrt(x)
         t = y + y**3/12.0
         qr = spectral.exact_solution(x, y, t, 1000.0)
-        wu = u_integral(x, 1000.0).w_value
+        wu = u_integral(x, 1000.0).value
         assert qr.converged
         assert abs(qr.value - wu)/abs(wu) <= 0.20
