@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # DomainError and the other argument checks
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # finite input too large for a float result
+        print("error: input too large: %s" % exc.args[-1], file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return EXIT_IO

@@ -53,6 +53,9 @@ __all__ = [
     "z_integral",
 ]
 
+#: window of the u-integral's damping e^{-u^4/32}, tail below 1e-14
+_U_WINDOW = truncation_radius(1.0/32.0, 4, 1e-14)
+
 
 def constant_c() -> complex:
     """c = (4 pi)^{-3/2} e^{i pi/12} / W(0), |c| = (4 pi)^{-3/2} * 2 pi."""
@@ -90,10 +93,9 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
         bracket = 0.5j*u - k112*airy.OMEGA*airy.ratio_on_ray((u*u/4.0)*k16)
         return bracket*np.exp(1j*a*u**4)
 
-    U = truncation_radius(1.0/32.0, 4, 1e-14)
-    osc = 4.0*abs(a)*U**3 + 1.0
-    spec = IntegrandSpec(f, DampingProfile(1.0/32.0, 4, scale=4.0*U*k112*k16),
-                         osc)
+    osc = 4.0*abs(a)*_U_WINDOW**3 + 1.0
+    spec = IntegrandSpec(
+        f, DampingProfile(1.0/32.0, 4, scale=4.0*_U_WINDOW*k112*k16), osc)
     try:
         res = integrate_1d(spec, tol)
     except NonConvergenceError as exc:

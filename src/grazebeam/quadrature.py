@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ContourError, NonConvergenceError
+from .errors import ContourError, DomainError, NonConvergenceError
 
 __all__ = [
     "DampingProfile",
@@ -108,7 +108,8 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
 
     Uses the integration-by-parts bound
     int_R^inf exp(-a u^p) du <= exp(-a R^p) / (p a R^(p-1)),
-    inverted by bisection.  Monotone decreasing in the coefficient.
+    inverted by bisection.  Monotone decreasing in the coefficient.  Raises
+    :class:`DomainError` when no R up to about 1e8 meets the bound.
     """
     if damping_coefficient <= 0:
         raise ValueError("damping coefficient must be positive")
@@ -121,9 +122,11 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
 
     lo, hi = (tail_tol/c)**(1.0/p), 1.0
     while tail(hi) > tail_tol:
-        hi *= 2
         if hi > 1e8:
-            break
+            raise DomainError(
+                "no truncation radius up to 1e8 meets the tail bound "
+                "(damping coefficient %.3g, power %d)" % (a, p))
+        hi *= 2
     lo = min(lo, hi/2)
     # each step is a function of (lo, hi): one that changes neither has
     # reached the fixed point the remaining steps would repeat
@@ -174,8 +177,8 @@ def _adapt(f, lo, hi, tol, oscillation_scale):
             return total, total_err, len(lefts), True
         if len(lefts) >= _MAX_PANELS:
             return total, total_err, len(lefts), False
-        # split the worst ~12% of panels, at least one
-        n_split = max(1, len(lefts)//8)
+        # split the worst ~12% of panels, at least one, within the budget
+        n_split = max(1, min(len(lefts)//8, _MAX_PANELS - len(lefts)))
         worst = np.argsort(err, kind="stable")[-n_split:]
         keep = np.setdiff1d(np.arange(len(lefts)), worst)
         mids = 0.5*(lefts[worst] + rights[worst])

@@ -25,18 +25,16 @@ principal powers of (-nu).  :func:`neg_power` owns this rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import airy
-from .errors import BranchError, DomainError
+from .errors import DomainError
 from .quadrature import (DampingProfile, IntegrandSpec, QuadratureResult,
                          integrate_1d, kronrod_panels, truncation_radius)
 from .raybeam import closed_frame
 
 __all__ = [
-    "ZetaValue",
     "airy_quotient",
     "amplitude_Z",
     "boundary_exponent_frozen",
@@ -48,9 +46,8 @@ __all__ = [
     "neg_power",
     "phase_full",
     "reciprocal_airy_factor",
+    "scaled_branch",
     "zeta",
-    "zeta_power_3_2",
-    "zeta_scaled",
 ]
 
 
@@ -59,70 +56,32 @@ def neg_power(nu, alpha: float):
     return np.asarray(-nu, dtype=complex)**alpha if np.ndim(nu) else (-nu + 0j)**alpha
 
 
-@dataclass(frozen=True)
-class ZetaValue:
-    """zeta together with the branch factor beta that produced it."""
-
-    value: complex
-    branch_factor: complex
-    regime: str  # "exact-branch" or "scaled-near-nu=-1"
-
-
-def zeta(x: float, eta: float, tau: float) -> ZetaValue:
+def zeta(x: float, eta: float, tau: float) -> complex:
     """zeta(x, eta, tau) = beta (1 + x - eta^2/tau^2) on the bounded branch.
 
     beta = |tau|^{2/3} e^{+i pi/3} for tau > 0 and |tau|^{2/3} e^{-i pi/3}
     for tau < 0, so that Re beta^{3/2} >= 0 and the Airy quotient stays
-    bounded for x > 0.
+    bounded for x > 0; beta itself is zeta(0, 0, tau).
     """
     if tau == 0:
         raise DomainError("tau = 0: zeta undefined")
     beta = abs(tau)**(2.0/3.0)*np.exp(1j*np.pi/3.0*np.sign(tau))
-    return ZetaValue(beta*(1.0 + x - eta*eta/(tau*tau)), beta, "exact-branch")
+    return complex(beta*(1.0 + x - eta*eta/(tau*tau)))
 
 
-def zeta_scaled(x: float, mu: float, nu: float, k: float) -> ZetaValue:
-    """zeta at the stretched arguments (k mu, k nu) for nu < 0.
-
-    Identical in value to ``zeta(x, k*mu, k*nu)``; tagged with the scaled
-    regime so the 3/2-power below may use the |nu| convention.
-    """
-    if nu >= 0:
-        raise DomainError("scaled regime requires nu < 0")
-    if k <= 0:
-        raise ValueError("k must be positive")
-    scale, qx, _ = _scaled_branch(x, mu, nu, k)
-    return ZetaValue(airy.RAY*qx, airy.RAY*scale, "scaled-near-nu=-1")
-
-
-def _scaled_branch(x, mu, nu, k: float):
+def scaled_branch(x, mu, nu, k: float):
     """(s, q(x), q(0)) of the bounded branch at (eta, tau) = k (mu, nu).
 
     beta = (|nu| k)^{2/3} e^{-i pi/3} = e^{-i pi/3} s, and
-    zeta(x, k mu, k nu) = e^{-i pi/3} q(x) with q(x) = s (1 + x - mu^2/nu^2).
-    s and q are real for real nu < 0 (floats or arrays); complex nu
-    continues |nu|^{2/3} through :func:`neg_power`.
+    zeta(x, k mu, k nu) = e^{-i pi/3} q(x) with q(x) = s (1 + x - mu^2/nu^2);
+    (2/3) zeta^{3/2} is :func:`airy.ray_exponent` of q.  s and q are real
+    for real nu < 0 (floats or arrays); complex nu continues |nu|^{2/3}
+    through :func:`neg_power`.
     """
     scale = (k**(2.0/3.0)*neg_power(nu, 2.0/3.0) if np.iscomplexobj(nu)
              else (-nu*k)**(2.0/3.0))
     m2 = (mu/nu)**2
     return scale, scale*(1.0 + x - m2), scale*(1.0 - m2)
-
-
-def zeta_power_3_2(z: ZetaValue) -> complex:
-    """zeta^{3/2} with (nu^{2/3})^{3/2} = |nu|, for the scaled regime.
-
-    Concretely |nu| k e^{-i pi/2} (1 + x - mu^2/nu^2)^{3/2} with the
-    positive real root of the radicand; raises :class:`BranchError` when
-    the radicand is negative.
-    """
-    if z.regime != "scaled-near-nu=-1":
-        raise DomainError("zeta_power_3_2 is defined for the scaled regime")
-    rad = (z.value/z.branch_factor).real
-    if rad < 0:
-        raise BranchError("1 + x - mu^2/nu^2 < 0: 3/2-power on the cut")
-    scale = abs(z.branch_factor)**1.5  # = |nu| k
-    return scale*np.exp(-0.5j*np.pi)*rad**1.5
 
 
 def airy_quotient(x, mu, nu, k: float):
@@ -138,7 +97,7 @@ def airy_quotient(x, mu, nu, k: float):
     x, mu, nu = (np.asarray(a, dtype=float) for a in (x, mu, nu))
     if np.any(nu >= 0):
         raise DomainError("airy_quotient is implemented for nu < 0")
-    _, qx, q0 = _scaled_branch(x, mu, nu, k)
+    _, qx, q0 = scaled_branch(x, mu, nu, k)
     return (airy.ai_scaled_on_ray(qx)/airy.ai_scaled_on_ray(q0)
             * np.exp(airy.ray_exponent(q0) - airy.ray_exponent(qx)))
 
@@ -268,7 +227,11 @@ def reciprocal_airy_factor(T, mu: float, nu: float, k: float):
     dT / (2 pi W(0)) this reproduces 1/Ai(zeta(0, k mu, k nu)); the factor
     itself is what multiplies the amplitude of the reflected-wave integral.
     """
-    return _reciprocal_bracket(T, k, zeta_scaled(0.0, mu, nu, k).value)
+    if nu >= 0:
+        raise DomainError("the scaled branch requires nu < 0")
+    if k <= 0:
+        raise ValueError("k must be positive")
+    return _reciprocal_bracket(T, k, airy.RAY*scaled_branch(0.0, mu, nu, k)[2])
 
 
 def amplitude_Z(k: float, x: float, mu, nu, T):
@@ -284,7 +247,7 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    _, qx, q0 = _scaled_branch(x, mu, nu, k)
+    _, qx, q0 = scaled_branch(x, mu, nu, k)
     front = k**(11.0/6.0)/(np.sqrt(2.0)*(2.0*np.pi)**3*airy.WRONSKIAN_ZERO)
     return front*_reciprocal_bracket(T, k, airy.RAY*q0)*(airy.RAY*qx)**-0.25
 
@@ -305,13 +268,12 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
     g0 = np.sqrt(np.maximum(1.0 - m2, 0.0))
     rate_z = np.abs(-S - N*Z*Z/4.0 - 3.0*Z*Z/8.0)
     rate_s = np.abs(y - Z - (2.0*MU/N)*(gx - g0))
-    # d/dnu of the quotient phase at fixed s (chain through mu and m)
+    # d/dnu of the quotient phase at fixed s (chain through mu and m);
+    # ray_exponent is real where q < 0, so .imag keeps only q >= 0
     h = 1e-5
     def qphase(nn, ss):
-        mm = (ss - nn)/nn
-        ax = np.maximum(1.0 + x - mm*mm, 0.0)**1.5
-        a0 = np.maximum(1.0 - mm*mm, 0.0)**1.5
-        return (2.0*(-nn)/3.0)*(ax - a0)
+        _, qx, q0 = scaled_branch(x, ss - nn, nn, k)
+        return (airy.ray_exponent(q0) - airy.ray_exponent(qx)).imag/k
     dq = (qphase(N + h, S) - qphase(N - h, S))/(2.0*h)
     rate_nu = np.abs(t - (Z + Z**3/12.0) - y + dq) + np.abs(N + 1.0)
     return float(rate_z.max()), float(rate_s.max()), float(rate_nu.max())

@@ -170,6 +170,17 @@ class TestInvalidInput:
          "--threads", "2"),
         ("graze", "reflected", "--x", "-0.5"),
         ("beam", "field", "--x", "0", "--y", "0", "--t", "0", "--k", "-1"),
+        # finite inputs whose results overflow a float
+        ("ray", "trace", "--y", "1e200"),
+        ("beam", "on-ray", "--x", "1e300"),
+        ("beam", "field", "--x", "0", "--y", "1e200", "--t", "0", "--k", "1"),
+        ("graze", "reflected", "--x", "1e300"),
+        ("graze", "w", "--x", "1e300", "--k", "1000", "--method",
+         "z-integral"),
+        ("graze", "w", "--x", "1e300", "--k", "1000", "--method", "spectral"),
+        ("graze", "w", "--x", "1", "--k", "1e300", "--method", "z-integral"),
+        # no truncation radius meets the z-route's tail bound
+        ("graze", "w", "--x", "1", "--k", "1e-300", "--method", "z-integral"),
     ])
     def test_library_domain_errors_exit_1(self, capsys, argv):
         code = main(list(argv))

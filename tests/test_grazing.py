@@ -186,6 +186,15 @@ class TestUIntegral:
         scale = 4.5*k16*k112*abs(grazing.constant_c())
         assert abs(full - narrow) <= 20.0*scale*math.exp(-4.5**4/32.0)
 
+    def test_small_x_error_follows_k_x_three_halves(self):
+        # at small x the u-integral's error depends on k x^{3/2}: both cells
+        # have k x^{3/2} = 1e-3 and converge to about 1.15 relative error
+        for x, k in ((1e-6, 1e6), (1e-4, 1e3)):
+            res = grazing.u_integral(x, k)
+            wc = grazing.w_on_ray_closed(x)
+            assert res.converged
+            assert abs(res.value - wc)/abs(wc) == pytest.approx(1.15, rel=1e-2)
+
     def test_k_below_ten_refused(self):
         with pytest.raises(DomainError):
             grazing.u_integral(1.0, 5.0)
@@ -275,6 +284,11 @@ class TestResultContract:
         assert res.value == complex(c/x**0.25*seen[0].value)
         assert res.error_estimate == abs(c)/x**0.25*seen[0].error_estimate
         assert res.panel_count == seen[0].panel_count
+
+    def test_spent_budget_stays_within_the_cap(self):
+        res = grazing.u_integral(1e-8, 1e3)
+        assert not res.converged
+        assert res.panel_count <= quadrature._MAX_PANELS == 20000
 
     def test_z_spent_budget_returns_best_estimate(self, monkeypatch):
         seen = _record_integrate_1d(monkeypatch)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grazebeam.quadrature as quad
-from grazebeam.errors import ContourError, NonConvergenceError
+from grazebeam.errors import ContourError, DomainError, NonConvergenceError
 from grazebeam.quadrature import (DampingProfile, IntegrandSpec, integrate_1d,
                                   integrate_nd, rotated_ray_integral,
                                   truncation_radius)
@@ -116,6 +116,11 @@ class TestTruncationRadius:
             u = np.linspace(r, r*3 + 10, 40001)
             tail = 2.0*np.trapezoid(np.exp(-a*u**p), u)
             assert tail <= tol*1.0000001
+
+    def test_unreachable_bound_raises(self):
+        # at a = 2.5e-302 the tail bound first holds near R = 2e75
+        with pytest.raises(DomainError):
+            truncation_radius(2.5e-302, 4, 1e-10)
 
 
 def _bisection_200_steps(a, p, tail_tol, scale=1.0):

@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from grazebeam import airy, spectral
-from grazebeam.errors import BranchError, DomainError
+from grazebeam.errors import DomainError
 from grazebeam.quadrature import (DampingProfile, IntegrandSpec,
                                   integrate_1d, truncation_radius)
 
@@ -17,22 +17,23 @@ from grazebeam.quadrature import (DampingProfile, IntegrandSpec,
 class TestZeta:
     def test_vanishes_at_turning_point(self):
         for tau in (0.5, -2.0):
-            assert spectral.zeta(0.0, tau, tau).value == pytest.approx(0.0, abs=1e-15)
+            assert spectral.zeta(0.0, tau, tau) == pytest.approx(0.0, abs=1e-15)
 
     def test_example_value(self):
         zv = spectral.zeta(1.0, 0.0, -1.0)
-        assert zv.value == pytest.approx(2.0*np.exp(-1j*np.pi/3.0), abs=1e-14)
+        assert isinstance(zv, complex)
+        assert zv == pytest.approx(2.0*np.exp(-1j*np.pi/3.0), abs=1e-14)
 
     def test_branch_cubes_to_minus_tau_squared(self):
         for tau in (-3.0, -0.4, 0.7, 2.5):
-            zv = spectral.zeta(0.3, 0.1, tau)
-            assert abs(zv.branch_factor**3 + tau*tau) <= 1e-12*tau*tau
+            beta = spectral.zeta(0.0, 0.0, tau)
+            assert abs(beta**3 + tau*tau) <= 1e-12*tau*tau
 
     def test_bounded_branch(self):
         for tau in np.linspace(-4, 4, 17):
             if tau == 0:
                 continue
-            beta = spectral.zeta(0.0, 0.0, tau).branch_factor
+            beta = spectral.zeta(0.0, 0.0, tau)
             assert (beta**1.5).real >= -1e-12
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -40,18 +41,16 @@ class TestZeta:
            st.floats(1.0, 1e4))
     def test_scaled_equals_exact(self, x, mu, nu, k):
         # the scaled branch beta = (|nu| k)^{2/3} e^{-i pi/3} against zeta()
-        scale, qx, q0 = spectral._scaled_branch(x, mu, nu, k)
+        scale, qx, q0 = spectral.scaled_branch(x, mu, nu, k)
         assert np.isrealobj(qx) and np.isrealobj(q0)
         want = spectral.zeta(x, k*mu, k*nu)
+        beta = spectral.zeta(0.0, 0.0, k*nu)
         # relative to the size of the terms of 1 + x - mu^2/nu^2, which
         # may cancel
-        size = abs(want.branch_factor)*(1.0 + x + (mu/nu)**2)
-        scaled = spectral.zeta_scaled(x, mu, nu, k).value
-        for got in (airy.RAY*qx, scaled):
-            assert abs(got - want.value) <= 1e-12*size
-        assert abs(airy.RAY*scale - want.branch_factor) <= \
-            1e-12*abs(want.branch_factor)
-        assert abs(airy.RAY*q0 - spectral.zeta(0.0, k*mu, k*nu).value) \
+        size = abs(beta)*(1.0 + x + (mu/nu)**2)
+        assert abs(airy.RAY*qx - want) <= 1e-12*size
+        assert abs(airy.RAY*scale - beta) <= 1e-12*abs(beta)
+        assert abs(airy.RAY*q0 - spectral.zeta(0.0, k*mu, k*nu)) \
             <= 1e-12*size
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -59,9 +58,9 @@ class TestZeta:
            st.floats(1.0, 1e4))
     def test_complex_nu_continues_real_branch(self, x, mu, nu, k):
         # neg_power on the real axis gives back the real-nu branch
-        real = spectral._scaled_branch(x, np.array([mu]), np.array([nu]), k)
-        cplx = spectral._scaled_branch(x, np.array([mu + 0j]),
-                                       np.array([nu + 0j]), k)
+        real = spectral.scaled_branch(x, np.array([mu]), np.array([nu]), k)
+        cplx = spectral.scaled_branch(x, np.array([mu + 0j]),
+                                      np.array([nu + 0j]), k)
         size = abs(real[0][0])*(1.0 + x + (mu/nu)**2)
         for r, c in zip(real, cplx):
             assert np.iscomplexobj(c)
@@ -86,25 +85,33 @@ class TestZeta:
 
 
 class TestZetaPower:
+    """(2/3) zeta^{3/2} as airy.ray_exponent of the scaled branch's q."""
+
     def test_zero_radicand(self):
-        zv = spectral.zeta_scaled(0.0, 1.0, -1.0, 5.0)
-        assert spectral.zeta_power_3_2(zv) == 0.0
+        qx = spectral.scaled_branch(0.0, 1.0, -1.0, 5.0)[1]
+        assert airy.ray_exponent(qx) == 0.0
 
     def test_magnitude_is_nu_k(self):
-        zv = spectral.zeta_scaled(1.0, -1.0, -1.0, 8.0)
-        assert abs(spectral.zeta_power_3_2(zv)) == pytest.approx(8.0, abs=1e-12)
+        qx = spectral.scaled_branch(1.0, -1.0, -1.0, 8.0)[1]
+        assert abs(1.5*airy.ray_exponent(qx)) == pytest.approx(8.0, abs=1e-12)
 
     def test_unimodular_exponential(self):
-        zv = spectral.zeta_scaled(0.7, 0.9, -1.05, 30.0)
-        val = np.exp(-(2.0/3.0)*spectral.zeta_power_3_2(zv))
+        qx = spectral.scaled_branch(0.7, 0.9, -1.05, 30.0)[1]
+        val = np.exp(-airy.ray_exponent(qx))
         assert abs(val) <= 1.0 + 1e-12
 
-    def test_branch_error_and_regime_guard(self):
-        zv = spectral.zeta_scaled(0.0, 2.0, -1.0, 5.0)   # radicand < 0
-        with pytest.raises(BranchError):
-            spectral.zeta_power_3_2(zv)
-        with pytest.raises(DomainError):
-            spectral.zeta_power_3_2(spectral.zeta(0.5, 1.0, -1.0))
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.0, 4.0), st.floats(-3.0, 3.0), st.floats(-2.0, -0.05),
+           st.floats(1.0, 1e4))
+    def test_principal_power_of_zeta(self, x, mu, nu, k):
+        # both signs of the radicand: the principal (2/3) zeta^{3/2} of the
+        # independent zeta(), imaginary for q >= 0 and real for q < 0
+        qx = spectral.scaled_branch(x, mu, nu, k)[1]
+        got = airy.ray_exponent(qx)
+        want = (2.0/3.0)*spectral.zeta(x, k*mu, k*nu)**1.5
+        size = (abs(spectral.zeta(0.0, 0.0, k*nu))*(1.0 + x + (mu/nu)**2))**1.5
+        assert abs(got - want) <= 1e-12*size
+        assert (got.real if qx >= 0 else got.imag) == 0.0
 
 
 def _quotient_two_airye(x, mu, nu, k):
@@ -347,6 +354,12 @@ class TestPhaseFull:
 
 
 class TestReciprocalFactor:
+    @pytest.mark.parametrize("nu, k", [(0.0, 20.0), (0.5, 20.0),
+                                       (-1.0, 0.0), (-1.0, -20.0)])
+    def test_refuses_nu_nonnegative_and_k_nonpositive(self, nu, k):
+        with pytest.raises(ValueError):  # DomainError is a ValueError
+            spectral.reciprocal_airy_factor(0.3, 1.0, nu, k)
+
     def test_turning_point_value(self):
         k, T = 20.0, 0.3
         got = spectral.reciprocal_airy_factor(T, 1.0, -1.0, k)
@@ -369,13 +382,13 @@ class TestReciprocalFactor:
             IntegrandSpec(f, DampingProfile(k/3.0, 3, scale=k)),
             np.pi/6.0, 1e-9)
         lhs = res.value/(2.0*np.pi*airy.WRONSKIAN_ZERO)
-        z0 = spectral.zeta_scaled(0.0, mu, nu, k).value
+        z0 = spectral.zeta(0.0, k*mu, k*nu)
         rhs = 1.0/airy.airy_ai(z0).value
         assert abs(lhs - rhs)/abs(rhs) <= 1e-3
 
     def test_large_argument_form(self):
         k, mu, nu = 1e4, 0.5, -1.0
-        z0 = spectral.zeta_scaled(0.0, mu, nu, k).value
+        z0 = spectral.zeta(0.0, k*mu, k*nu)
         got = spectral.reciprocal_airy_factor(0.0, mu, nu, k)
         want = airy.OMEGA*np.sqrt(z0)
         assert abs(got - want)/abs(want) <= 1e-2
