@@ -27,6 +27,7 @@ first-order transport identity does not hold for a = D^{-1/2};
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +237,12 @@ def beam_field(x: float, y: float, t: float, k: float) -> complex:
     """The beam v = a(y) exp(i k psi(x, y, t)), k > 0."""
     if k <= 0:
         raise ValueError("k must be positive")
-    return beam_matrix(y).a*np.exp(1j*k*beam_phase(x, y, t))
+    frame, p = beam_matrix(y), central_ray(y)
+    d = math.hypot(x - p.x, t - p.t)
+    # Im M > 0: |v| <= |a| e^{-k lam d^2/2} is 0 here, where psi may be NaN
+    if 0.5*k*float(np.linalg.eigvalsh(frame.M.imag)[0])*d*d > 746.0:
+        return 0j
+    return frame.a*np.exp(1j*k*beam_phase(x, y, t))
 
 
 def beam_on_ray(x: float) -> complex:

@@ -195,24 +195,22 @@ def phase_full(t: float, x: float, y: float, z: float,
                mu: float, nu: float, T: float) -> complex:
     """The stretched phase Phi(t, x, y, z, mu, nu, T).
 
-    Phi = (y - z) mu + t nu - nu (z + z^3/12) - z^3/8
-          + i [z^4/32 + (nu + 1)^2/2]
-          + (2|nu|/3)(1 + x - mu^2/nu^2)^{3/2}
-          - |nu|^{2/3}(1 - mu^2/nu^2) T + T^3/3,
+    Phi = y mu + t nu - rho(z, mu, nu) + (2|nu|/3)(1 + x - mu^2/nu^2)^{3/2}
+          - |nu|^{2/3}(1 - mu^2/nu^2) T + T^3/3
 
-    for nu < 0 and 1 + x - mu^2/nu^2 >= 0 (so the 3/2-power is real).
+    for nu < 0 and 1 + x - mu^2/nu^2 >= 0, with rho from
+    :func:`boundary_exponent_frozen`; the Airy and T terms are
+    i :func:`airy.ray_exponent` (q(x)) - q(0) T with q from
+    :func:`scaled_branch` at k = 1.
     """
     if nu >= 0:
         raise DomainError("phase requires nu < 0")
-    rad = 1.0 + x - mu*mu/(nu*nu)
-    if rad < 0:
+    scale, qx, q0 = scaled_branch(x, mu, nu, 1.0)
+    if qx < 0:
         raise DomainError(
-            "radicand 1 + x - mu^2/nu^2 = %.3g is negative" % rad)
-    anu = -nu
-    return ((y - z)*mu + t*nu - nu*(z + z**3/12.0) - z**3/8.0
-            + 1j*(z**4/32.0 + (nu + 1.0)**2/2.0)
-            + (2.0*anu/3.0)*rad**1.5
-            - anu**(2.0/3.0)*(1.0 - mu*mu/(nu*nu))*T + T**3/3.0)
+            "radicand 1 + x - mu^2/nu^2 = %.3g is negative" % (qx/scale))
+    return complex(y*mu + t*nu - boundary_exponent_frozen(z, mu, nu)
+                   + 1j*airy.ray_exponent(qx) - q0*T + T**3/3.0)
 
 
 def _reciprocal_bracket(T, k: float, z0):
@@ -257,36 +255,35 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
 # ---------------------------------------------------------------------------
 
 def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
-    """Sampled maxima of the phase gradients over the integration box."""
-    zg = np.linspace(-z_max, z_max, 9)
-    sg = np.linspace(s_lo, s_hi, 9)
-    ng = np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9)
-    Z, S, N = np.meshgrid(zg, sg, ng, indexing="ij")
-    MU = S - N
-    m2 = (MU/N)**2
-    gx = np.sqrt(np.maximum(1.0 + x - m2, 0.0))
-    g0 = np.sqrt(np.maximum(1.0 - m2, 0.0))
-    rate_z = np.abs(-S - N*Z*Z/4.0 - 3.0*Z*Z/8.0)
-    rate_s = np.abs(y - Z - (2.0*MU/N)*(gx - g0))
-    # d/dnu of the quotient phase at fixed s (chain through mu and m);
-    # ray_exponent is real where q < 0, so .imag keeps only q >= 0
+    """Largest |dPhi/du| on a 9^3 grid of the box, for u = z, s and nu.
+
+    Phi = y mu + t nu - rho(z, mu, nu) + (quotient phase) at mu = s - nu is
+    the one exponent of the oracle's integrand; central differences.
+    """
+    def phi(zsn):
+        z, s, nu = zsn
+        # ray_exponent is real where q < 0, so .imag keeps only q >= 0
+        _, qx, q0 = scaled_branch(x, s - nu, nu, k)
+        return (y*(s - nu) + t*nu - boundary_exponent_frozen(z, s - nu, nu)
+                + (airy.ray_exponent(q0) - airy.ray_exponent(qx)).imag/k)
+
+    box = np.array(np.meshgrid(np.linspace(-z_max, z_max, 9),
+                               np.linspace(s_lo, s_hi, 9),
+                               np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9),
+                               indexing="ij"))
     h = 1e-5
-    def qphase(nn, ss):
-        _, qx, q0 = scaled_branch(x, ss - nn, nn, k)
-        return (airy.ray_exponent(q0) - airy.ray_exponent(qx)).imag/k
-    dq = (qphase(N + h, S) - qphase(N - h, S))/(2.0*h)
-    rate_nu = np.abs(t - (Z + Z**3/12.0) - y + dq) + np.abs(N + 1.0)
-    return float(rate_z.max()), float(rate_s.max()), float(rate_nu.max())
+    return tuple(float(np.abs(phi(box + e) - phi(box - e)).max()/(2.0*h))
+                 for e in h*np.eye(3)[:, :, None, None, None])
 
 
-#: grid points per block of s-columns in exact_solution (158 at k = 1e3)
+#: most points in a block's quotient or e^{-ikzs} (132 s-columns at k = 1e3)
 _QUOTIENT_BLOCK = 1 << 17
 
 
-def _axis_nodes(lo, hi, rate_per_unit, k, max_panels=700):
+def _axis_nodes(lo, hi, rate_per_unit, k):
     """Kronrod nodes/weights (K and G variants) tiling [lo, hi]."""
     cycles = (hi - lo)*rate_per_unit*k/(2.0*math.pi)
-    n_panels = int(np.clip(math.ceil(cycles/1.5) + 2, 4, max_panels))
+    n_panels = int(np.clip(math.ceil(cycles/1.5) + 2, 4, 700))
     edges = np.linspace(lo, hi, n_panels + 1)
     nodes, half, wk, wg = kronrod_panels(edges[:-1], edges[1:])
     return (nodes.ravel(), np.outer(half, wk).ravel(),
@@ -308,7 +305,7 @@ def exact_solution(x: float, y: float, t: float, k: float,
     result is returned flagged (``converged=False``) rather than raised.
     The tensor rule is summed over blocks of s-columns, one
     :func:`airy_quotient` call each (the oracle's one block loop), so only
-    the nu x z factor is held whole: 13 MB at k = 1e3 and 76 MB at k = 1e4.
+    the nu x z factor is held whole: 3.3 MB at k = 1e3 and 15 MB at k = 1e4.
     """
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
@@ -339,24 +336,22 @@ def exact_solution(x: float, y: float, t: float, k: float,
                                             nu_half)
     zn, wzk, wzg, pz = _axis_nodes(-z_max, z_max, rate_z, k)
     sn, wsk, wsg, ps = _axis_nodes(s_lo, s_hi, rate_s, k)
-    nn, wnk, wng, pn = _axis_nodes(-1.0 - nu_half, -1.0 + nu_half, rate_nu, k,
-                                   max_panels=400)
+    nn, wnk, wng, pn = _axis_nodes(-1.0 - nu_half, -1.0 + nu_half, rate_nu, k)
 
-    # phase split: e^{ik Phi} = Pnu(nu) FZ(nu,z) K0(z,s) Q(nu,s) FS(s), with
-    # e^{ik y mu} = e^{ik y s} e^{-ik y nu} moved into FS and Pnu; only the
-    # weighted FZ is held whole, the rest is formed per block of s-columns
-    z3 = zn**3
-    FZ = np.exp(1j*k*(-np.outer(nn, z3)/12.0 - z3/8.0 + 1j*zn**4/32.0))
+    # e^{ik Phi} = Pnu(nu) FZ(nu,z) K0(z,s) Q(nu,s) FS(s) by rho(z, mu, nu) =
+    # rho(z, -nu, nu) + s z and e^{ik y mu} = e^{ik y s} e^{-ik y nu}; only
+    # the weighted FZ is held whole, the rest is formed per block of s-columns
+    FZ = np.exp(-1j*k*boundary_exponent_frozen(zn, -nn[:, None], nn[:, None]))
     gauss = wzg != 0.0
     FZG = FZ[:, gauss]*wzg[gauss]
     FZ *= wzk
     FS = np.exp(1j*k*y*sn)
     wsk, wsg = wsk*FS, wsg*FS
-    Pnu = np.exp(1j*k*((t - y)*nn + 0.5j*(nn + 1.0)**2))
+    Pnu = np.exp(1j*k*(t - y)*nn)
     pk, pg = wnk*Pnu, wng*Pnu
 
     v_kkk = v_gkk = v_kgk = v_kkg = 0j
-    cols = max(1, _QUOTIENT_BLOCK//len(nn))
+    cols = max(1, _QUOTIENT_BLOCK//max(len(nn), len(zn)))
     for j in range(0, len(sn), cols):
         blk = slice(j, j + cols)
         phase = np.outer(zn, sn[blk])

@@ -218,8 +218,9 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
     grazing point; finite and continuous across the sign switch at
     z = y - 2 sqrt(x).
     """
-    if x <= 0:
-        raise DomainError("reduced integrand defined for x > 0")
+    # x + 1 - r^2 at the grazing root r = -1, its least value on the z-range
+    if x + 1.0 - 1.0 <= 0.0:
+        raise DomainError("x + 1 - r^2 must be positive")
     z = np.asarray(z, dtype=float)
     r = root_r(x, y, z)
 

@@ -49,6 +49,17 @@ class TestBeamCommands:
         assert rows[0] == "x,y,t,k,re_v,im_v,abs_v"
         assert float(rows[1].split(",")[4]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("x, t", [("1e300", "0"), ("0", "1e300")])
+    def test_field_far_off_ray_is_zero(self, capsys, x, t):
+        # Im M is positive definite, so the Gaussian there is below double
+        # range; the quadratic form of the phase overflows to NaN unguarded
+        code = main(["beam", "field", "--x", x, "--y", "0", "--t", t,
+                     "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        row = captured.out.strip().splitlines()[1].split(",")
+        assert [float(v) for v in row[4:]] == [0.0, 0.0, 0.0]
+
 
 class TestGrazeW:
     def test_closed_method_row(self, capsys):
@@ -181,6 +192,9 @@ class TestInvalidInput:
         ("graze", "w", "--x", "1", "--k", "1e300", "--method", "z-integral"),
         # no truncation radius meets the z-route's tail bound
         ("graze", "w", "--x", "1", "--k", "1e-300", "--method", "z-integral"),
+        # x is lost in x + 1 - r^2 at the grazing root r = -1
+        ("graze", "w", "--x", "1e-300", "--k", "1000", "--method",
+         "z-integral"),
     ])
     def test_library_domain_errors_exit_1(self, capsys, argv):
         code = main(list(argv))

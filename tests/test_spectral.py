@@ -466,15 +466,59 @@ class TestExactSolution:
         monkeypatch.setattr(spectral, "_axis_nodes", recorded)
         spectral.exact_solution(x, y, t, k)
         value, err, converged = _full_grid_oracle(x, y, t, k, axes[:3])
-        n_nu, n_s = len(axes[2][0]), len(axes[1][0])
+        n_z, n_s, n_nu = (len(a[0]) for a in axes[:3])
         uneven = next(c for c in range(7, n_s) if n_s % c)
         # one s-column per block, an uneven last block, a single block
         for cols in (1, uneven, n_s):
-            monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", cols*n_nu)
+            monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK",
+                                cols*max(n_nu, n_z))
             got = spectral.exact_solution(x, y, t, k)
             assert abs(got.value - value) <= 1e-12*abs(value)
             assert abs(got.error_estimate - err) <= 1e-12*abs(value)
             assert got.converged == converged
+
+    @pytest.mark.parametrize("x, k", [(0.5, 100.0), (1.0, 300.0),
+                                      (2.0, 300.0), (1.0, 1000.0),
+                                      (0.5, 1000.0)])
+    def test_window_rates_are_gradients_of_the_exponent(self, x, k,
+                                                        monkeypatch):
+        # max over the oracle's 9^3 sample box of |dPhi/du|, u = z, s, nu,
+        # for the exponent written out here, mu = s - nu
+        y = 2.0*math.sqrt(x)
+        t = y + y**3/12.0
+        seen = []
+        window_rates = spectral._window_rates
+
+        class BoxSeen(Exception):
+            pass
+
+        def recorded(*args):
+            seen.append((args, window_rates(*args)))
+            raise BoxSeen
+        monkeypatch.setattr(spectral, "_window_rates", recorded)
+        with pytest.raises(BoxSeen):
+            spectral.exact_solution(x, y, t, k)
+        (_, _, _, _, z_max, s_lo, s_hi, nu_half), rates = seen[0]
+
+        def phi(z, s, nu):
+            mu = s - nu
+            m2 = (mu/nu)**2
+            quotient = (2.0*abs(nu)/3.0)*(np.maximum(1.0 + x - m2, 0.0)**1.5
+                                          - np.maximum(1.0 - m2, 0.0)**1.5)
+            return ((y - z)*mu + t*nu - nu*(z + z**3/12.0) - z**3/8.0
+                    + 1j*(z**4/32.0 + (nu + 1.0)**2/2.0) + quotient)
+
+        box = np.meshgrid(np.linspace(-z_max, z_max, 9),
+                          np.linspace(s_lo, s_hi, 9),
+                          np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9),
+                          indexing="ij")
+        h = 1e-6
+        for axis, rate in enumerate(rates):
+            step = [h if a == axis else 0.0 for a in range(3)]
+            up = phi(*(b + d for b, d in zip(box, step)))
+            down = phi(*(b - d for b, d in zip(box, step)))
+            want = np.abs(up - down).max()/(2.0*h)
+            assert abs(rate - want) <= 1e-6*want
 
     def test_memory_is_bounded_at_k1000(self):
         spectral.exact_solution(1.0, 2.0, 8.0/3.0, 1e3)  # warm-up
