@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -107,6 +108,8 @@ def _emit(lines, out_path):
 
 def _map_cells(fn, cells, threads):
     """Evaluate fn over cells, possibly in a thread pool; order preserved."""
+    # each submit that finds no idle worker starts a thread: one per CPU
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -170,8 +173,8 @@ def _graze_cell(cell):
 def _cmd_graze_w(args) -> int:
     xs = _parse_values(args.x)
     ks = _parse_values(args.k) if args.method != "closed" else [None]
-    if args.tol <= 0:
-        raise UsageError("tol must be positive")
+    if not 0 < args.tol < 1:
+        raise UsageError("tol must lie in (0, 1)")
     if any(k is not None and k <= 0 for k in ks):
         raise UsageError("k values must be positive")
     if args.method == "spectral" and any(k > _SPECTRAL_K_CAP for k in ks):

@@ -26,24 +26,21 @@ they share the slowly converging Airy-ratio factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import airy
 from .errors import DomainError, NonConvergenceError
-from .fd import stencil_derivatives
 from .quadrature import (DampingProfile, IntegrandSpec, QuadratureResult,
                          integrate_1d, truncation_radius)
 from .raybeam import beam_on_ray, central_ray
 from .spectral import exact_solution
-from .stationary import C_of, quartic_coefficient, reduced_integrand
+from .stationary import quartic_coefficient, reduced_integrand
 
 __all__ = [
-    "DerivativeConsistencyReport",
     "closed_form_identity_check",
     "constant_c",
-    "derivative_consistency",
     "limit_integral",
     "quartic_moment",
     "reflected_amplitude",
@@ -194,60 +191,3 @@ def closed_form_identity_check(x: float) -> float:
 def reflected_amplitude(x: float) -> complex:
     """Amplitude of the emerging beam on the ray: v(x) - w(x), closed forms."""
     return beam_on_ray(x) - w_on_ray_closed(x)
-
-
-@dataclass(frozen=True)
-class DerivativeConsistencyReport:
-    """Ratios of numerical x- and y-derivatives of w to i k sqrt(x) w and i k w.
-
-    Both ratios tend to 1 as k grows, consistent with a beam concentrated
-    on the ray.  ``c_xzz`` and ``c_yzz`` attach the second-order mixed
-    derivatives of C at the grazing set (-x^{-1/2}/4 and 1/4 by the chain
-    rule along the grazing curve); their size is why no conclusion is
-    drawn about the next-order terms of the expansion.
-    """
-
-    x: float
-    k: float
-    ratio_x: complex
-    ratio_y: complex
-    c_xzz: float
-    c_yzz: float
-    caveat: str = ("leading order only; the subleading expansion is not "
-                   "controlled by these checks")
-
-
-def derivative_consistency(x: float, k: float,
-                           step: float = 2e-6) -> DerivativeConsistencyReport:
-    """Differentiate the z-route numerically and compare with i k sqrt(x) w, i k w."""
-    if x <= 0:
-        raise DomainError("x must be positive")
-    ray = central_ray(2.0*math.sqrt(x))
-    y, t = ray.y, ray.t
-
-    def wz(xx, yy):
-        return _z_route(xx, yy, t, k, 1e-8).value
-
-    w0 = wz(x, y)
-    dwx = (wz(x + step, y) - wz(x - step, y))/(2.0*step)
-    dwy = (wz(x, y + step) - wz(x, y - step))/(2.0*step)
-
-    h = 0.02
-
-    # partials at fixed (y, z, t), evaluated at the grazing point z = 0
-    def c_xz2(xx):
-        return stencil_derivatives(
-            lambda z: C_of(xx, y, z, t), 0.0, h, max_order=2)[2]
-
-    def c_yz2(yy):
-        return stencil_derivatives(
-            lambda z: C_of(x, yy, z, t), 0.0, h, max_order=2)[2]
-
-    dx = 1e-4
-    c_xzz = float(np.real((c_xz2(x + dx) - c_xz2(x - dx))/(2.0*dx)))
-    c_yzz = float(np.real((c_yz2(y + dx) - c_yz2(y - dx))/(2.0*dx)))
-    return DerivativeConsistencyReport(
-        x=x, k=k,
-        ratio_x=complex(dwx/(1j*k*math.sqrt(x)*w0)),
-        ratio_y=complex(dwy/(1j*k*w0)),
-        c_xzz=c_xzz, c_yzz=c_yzz)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, DegeneracyError
+from .errors import BranchError
 
 __all__ = [
     "BeamFrame",
@@ -47,7 +47,6 @@ __all__ = [
     "eikonal_residual",
     "flow_general",
     "hamiltonian",
-    "projected_ray",
     "psi_gradient",
     "psi_yy_on_ray",
     "transport_residual",
@@ -105,24 +104,6 @@ def flow_general(p0: RayParams, y: float) -> PhasePoint:
     t = t0 - tau0*((1.0 + x0)*y + xi0*y**2/2.0 + tau0**2*y**3/12.0)
     xi = xi0 + tau0**2*y/2.0
     return PhasePoint(x, y, t, xi, 1.0, tau0)
-
-
-def projected_ray(xi0_over_tau: float, eta_over_tau: float, span: float):
-    """(x, t) of the null ray with data (x0, t0) = (0, 0), via direction ratios.
-
-    The parameters live on the unit circle, (xi0/tau)^2 + (eta/tau)^2 = 1;
-    ``span`` is the curve parameter (the offset y - z in the reflected-wave
-    variables).  The grazing family is (xi0/tau, eta/tau) = (0, -1).
-    """
-    if abs(xi0_over_tau**2 + eta_over_tau**2 - 1.0) > 1e-9:
-        raise DegeneracyError("direction ratios must satisfy the null "
-                              "constraint (xi0/tau)^2 + (eta/tau)^2 = 1")
-    if eta_over_tau == 0.0:
-        raise DegeneracyError("eta/tau = 0: ray not parametrizable by y")
-    g = eta_over_tau
-    x = (xi0_over_tau/g)*span + span**2/(4.0*g*g)
-    t = -span/g - (xi0_over_tau/(g*g))*span**2/2.0 - span**3/(12.0*g**3)
-    return x, t
 
 
 def variational_matrices(y: float):
@@ -238,11 +219,19 @@ def beam_field(x: float, y: float, t: float, k: float) -> complex:
     if k <= 0:
         raise ValueError("k must be positive")
     frame, p = beam_matrix(y), central_ray(y)
-    d = math.hypot(x - p.x, t - p.t)
+    u = np.array([x - p.x, t - p.t])
+    d = math.hypot(*u)
     # Im M > 0: |v| <= |a| e^{-k lam d^2/2} is 0 here, where psi may be NaN
     if 0.5*k*float(np.linalg.eigvalsh(frame.M.imag)[0])*d*d > 746.0:
         return 0j
-    return frame.a*np.exp(1j*k*beam_phase(x, y, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = frame.a*np.exp(1j*k*beam_phase(x, y, t))
+    if np.isfinite(v):
+        return v
+    # far along the ray lam ~ 16/y^6 is too weak a bound: test k Im psi
+    if 0.5*k*d*d*float(u/d @ frame.M.imag @ (u/d)) <= 746.0:
+        raise OverflowError("k psi exceeds the float range")
+    return 0j
 
 
 def beam_on_ray(x: float) -> complex:

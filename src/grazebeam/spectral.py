@@ -166,8 +166,10 @@ def boundary_hat_frozen(eta: float, tau: float, k: float,
     (2 pi / k)^{1/2} int e^{-i k rho(z)} dz with rho =
     :func:`boundary_exponent_frozen`.  Its constant term gives the factor
     e^{-(tau + k)^2/(2k)}, applied after the quadrature so that the
-    adaptive error target, absolute below |value| = 1, acts on the bare
-    z-integral and not on a product that reaches 1e-30 far from tau = -k.
+    adaptive error target tol (1 + |value|)/2, absolute below |value| = 1,
+    acts on the bare z-integral and not on a product that reaches 1e-30 far
+    from tau = -k.  Off the stationary set of the z-phase |value| << tol,
+    and the value has no relative digits.
     """
     def f(z, mu, nu):
         return np.exp(-1j*k*(boundary_exponent_frozen(z, mu, nu)
@@ -179,7 +181,10 @@ def boundary_hat_frozen(eta: float, tau: float, k: float,
 
 def boundary_hat_full(eta: float, tau: float, k: float,
                       tol: float = 1e-8) -> complex:
-    """Boundary transform with the full y-dependent frame and amplitude."""
+    """Boundary transform with the full y-dependent frame and amplitude.
+
+    Absolute error target, so no relative digits where |value| << tol.
+    """
     def f(z, mu, nu):
         return (boundary_prefactor_full(z, k)
                 * np.exp(-1j*k*boundary_exponent_full(z, mu, nu)))
@@ -306,6 +311,9 @@ def exact_solution(x: float, y: float, t: float, k: float,
     The tensor rule is summed over blocks of s-columns, one
     :func:`airy_quotient` call each (the oracle's one block loop), so only
     the nu x z factor is held whole: 3.3 MB at k = 1e3 and 15 MB at k = 1e4.
+    ``panel_count`` is the product pz ps pn of the per-axis counts, each
+    capped at 700: at k = 1e4 the cap clips s for x >= 1 (754 panels asked
+    at x = 1, 897 at x = 2) and the result does not say so.
     """
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")

@@ -74,7 +74,6 @@ class SeriesCoefficients:
     c2: complex
     c3: complex
     c4: complex
-    base_x: float
 
 
 def _check_region(x: float, yz) -> None:
@@ -248,7 +247,7 @@ def series_r(x: float) -> SeriesCoefficients:
     sx = math.sqrt(x)
     return SeriesCoefficients(-1.0, 0.0, 0.125,
                               (3.0/8.0)*(1.0/sx - sx),
-                              (15.0/16.0)*(x - 1.0 + 1.0/x), x)
+                              (15.0/16.0)*(x - 1.0 + 1.0/x))
 
 
 def phi_reduced(x: float, y: float, z):
@@ -271,7 +270,7 @@ def series_phi(x: float) -> SeriesCoefficients:
     sx = math.sqrt(x)
     base = -2.0*sx - (2.0/3.0)*x*sx
     return SeriesCoefficients(base, 0.0, 0.0, -0.25,
-                              (3.0/8.0)*(sx - 1.0/sx), x)
+                              (3.0/8.0)*(sx - 1.0/sx))
 
 
 def quartic_coefficient(x: float) -> complex:

@@ -60,6 +60,17 @@ class TestBeamCommands:
         row = captured.out.strip().splitlines()[1].split(",")
         assert [float(v) for v in row[4:]] == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("y", ["1e80", "1e100"])
+    def test_field_far_along_ray_is_zero(self, capsys, y):
+        # the least eigenvalue of Im M (about 16/y^6) bounds k Im psi far
+        # too weakly there, and the quadratic form of the phase overflows
+        code = main(["beam", "field", "--x", "0", "--y", y, "--t", "0",
+                     "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        row = captured.out.strip().splitlines()[1].split(",")
+        assert [float(v) for v in row[4:]] == [0.0, 0.0, 0.0]
+
 
 class TestGrazeW:
     def test_closed_method_row(self, capsys):
@@ -134,6 +145,42 @@ class TestGrazeW:
                           "--method", "u-integral", "--tol", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["1", "1e300"])
+    @pytest.mark.parametrize("method", cli._METHODS)
+    def test_tol_at_least_one_usage_error(self, capsys, method, tol):
+        # no accuracy target: at 1e300 the tail bound tol/10 cut the
+        # u-window to 0.5 and |w| to 0.059 (0.413), marked ok
+        code = main(["graze", "w", "--x", "1", "--k", "1000",
+                     "--method", method, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+    def test_thread_pool_clamped_to_cpu_count(self, capsys, monkeypatch):
+        # the fake pool maps serially, so no thread is started
+        workers = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out = run_cli(capsys, "graze", "w", "--x", "0.5,1,2",
+                            "--method", "closed", "--threads", "100000")
+        assert code == 0 and len(out.strip().splitlines()) == 4
+        assert workers == [2]
+
 
 class TestGrazeReflected:
     def test_curve_contract(self, capsys):
@@ -195,6 +242,10 @@ class TestInvalidInput:
         # x is lost in x + 1 - r^2 at the grazing root r = -1
         ("graze", "w", "--x", "1e-300", "--k", "1000", "--method",
          "z-integral"),
+        # psi overflows along the weakest direction of Im M, where
+        # k Im psi is small: the phase k psi has no double value
+        ("beam", "field", "--x", "2e130", "--y", "1e50", "--t", "1e180",
+         "--k", "1e-60"),
     ])
     def test_library_domain_errors_exit_1(self, capsys, argv):
         code = main(list(argv))

@@ -345,18 +345,17 @@ class TestReflected:
             assert np.isfinite(v) and abs(v) < 1.5
 
 
-class TestDerivativeConsistency:
+class TestZRouteDerivativeLaw:
     def test_ratios_near_one_at_1e5(self):
-        rep = grazing.derivative_consistency(1.0, 1e5)
-        assert abs(rep.ratio_x - 1.0) <= 0.10
-        assert abs(rep.ratio_y - 1.0) <= 0.10
-        assert rep.c_xzz == pytest.approx(-0.25, abs=1e-3)
-        assert rep.c_yzz == pytest.approx(0.25, abs=1e-3)
-        assert "leading order" in rep.caveat
+        # a beam concentrated on the ray: d_x w ~ ik sqrt(x) w, d_y w ~ ik w
+        x, k, h = 1.0, 1e5, 2e-6
+        ray = raybeam.central_ray(2.0*math.sqrt(x))
 
-    def test_deviation_shrinks_with_k(self):
-        d4 = grazing.derivative_consistency(1.0, 1e4, step=2e-6)
-        d6 = grazing.derivative_consistency(1.0, 1e6, step=2e-8)
-        dev4 = max(abs(d4.ratio_x - 1), abs(d4.ratio_y - 1))
-        dev6 = max(abs(d6.ratio_x - 1), abs(d6.ratio_y - 1))
-        assert dev6 < dev4
+        def w(xx, yy):
+            return grazing._z_route(xx, yy, ray.t, k, 1e-8).value
+
+        w0 = w(x, ray.y)
+        dwx = (w(x + h, ray.y) - w(x - h, ray.y))/(2.0*h)
+        dwy = (w(x, ray.y + h) - w(x, ray.y - h))/(2.0*h)
+        assert abs(dwx/(1j*k*math.sqrt(x)*w0) - 1.0) <= 0.10
+        assert abs(dwy/(1j*k*w0) - 1.0) <= 0.10

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grazebeam import raybeam
-from grazebeam.errors import DegeneracyError
 from conftest import reduced_flow_rhs, rk4
 
 
@@ -95,29 +94,6 @@ class TestRays:
             vals = [raybeam.hamiltonian(raybeam.flow_general(p0, y))
                     for y in np.linspace(-3, 3, 13)]
             assert max(abs(v - vals[0]) for v in vals) <= 1e-10
-
-
-class TestProjectedRay:
-    def test_grazing_family_hits_height(self):
-        for xs in (0.25, 1.0, 2.0):
-            x, t = raybeam.projected_ray(0.0, -1.0, 2.0*math.sqrt(xs))
-            assert x == pytest.approx(xs, abs=1e-14)
-
-    def test_zero_span(self):
-        assert raybeam.projected_ray(0.0, -1.0, 0.0) == (0.0, 0.0)
-
-    def test_consistency_with_flow_general(self):
-        # ratios (0.6, -0.8) correspond to tau0 = -1.25, xi0 = -0.75
-        x, t = raybeam.projected_ray(0.6, -0.8, 1.0)
-        got = raybeam.flow_general(raybeam.RayParams(0, 0, -0.75, -1.25), 1.0)
-        assert x == pytest.approx(got.x, abs=1e-12)
-        assert t == pytest.approx(got.t, abs=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(DegeneracyError):
-            raybeam.projected_ray(0.5, -0.5, 1.0)   # not on the unit circle
-        with pytest.raises(DegeneracyError):
-            raybeam.projected_ray(1.0, 0.0, 1.0)    # eta/tau = 0
 
 
 class TestBeamFrame:
