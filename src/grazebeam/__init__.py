@@ -19,7 +19,7 @@ grazing     the one-dimensional amplitude integrals and closed forms
 quadrature  damped-oscillatory adaptive quadrature and contour rotation
 verification  named check suites behind the ``grazebeam verify`` command
 fd          finite-difference stencils and Richardson extrapolation
-errors      exception types: domain, degeneracy, branch, contour, convergence
+errors      exception types: domain, degeneracy, branch, contour
 cli         the ``grazebeam`` command line (``ray``, ``beam``, ``graze``,
             ``verify``)
 """

@@ -16,13 +16,3 @@ class BranchError(ValueError):
 class ContourError(RuntimeError):
     """Rotated-contour integration detected growth along the ray."""
 
-
-class NonConvergenceError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance.
-
-    The best available estimate is attached as the ``result`` attribute.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result

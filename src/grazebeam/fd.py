@@ -1,7 +1,7 @@
 """Finite-difference derivative helpers for the verification oracles.
 
 Centered stencils are generated by solving the local Vandermonde system on
-2m+1 equispaced nodes, which yields all derivatives through the requested
+nine equispaced nodes, which yields all derivatives through the requested
 order at once; Richardson extrapolation over (h, h/2) removes the leading
 truncation term.  Fourth derivatives in double precision need the step
 balanced against cancellation, so callers pass a characteristic scale.
@@ -16,18 +16,18 @@ import numpy as np
 
 __all__ = ["stencil_derivatives", "richardson_derivatives"]
 
+#: the stencil's nodes are x0 + j*h for |j| <= _HALF_WIDTH
+_HALF_WIDTH = 4
+
 
 def stencil_derivatives(f: Callable[[float], complex], x0: float, h: float,
-                        max_order: int = 4, half_width: int = 4):
+                        max_order: int = 4):
     """Derivatives f(x0), f'(x0), ..., f^(max_order)(x0) from one stencil.
 
-    Uses the 2*half_width + 1 equispaced nodes x0 + j*h and solves the
-    Vandermonde system for the Taylor coefficients.  half_width must be at
-    least ceil(max_order/2) + 1 for reasonable conditioning.
+    Uses the nine equispaced nodes x0 + j*h, |j| <= 4, and solves the
+    Vandermonde system for the Taylor coefficients; max_order is at most 8.
     """
-    if half_width*2 < max_order:
-        raise ValueError("stencil too narrow for the requested order")
-    js = np.arange(-half_width, half_width + 1)
+    js = np.arange(-_HALF_WIDTH, _HALF_WIDTH + 1)
     nodes = x0 + js*h
     vals = np.array([f(v) for v in nodes], dtype=complex)
     powers = np.vander(js*h, len(js), increasing=True)
@@ -36,15 +36,14 @@ def stencil_derivatives(f: Callable[[float], complex], x0: float, h: float,
                      for n in range(max_order + 1)])
 
 
-def richardson_derivatives(f: Callable[[float], complex], x0: float, h: float,
-                           max_order: int = 4, half_width: int = 4):
-    """Richardson-extrapolated stencil derivatives over steps h and h/2.
+def richardson_derivatives(f: Callable[[float], complex], x0: float,
+                           h: float):
+    """Derivatives through order 4, Richardson-extrapolated over h and h/2.
 
-    The stencil error is O(h^{2p}) with 2p = 2*half_width - max_order + 2
-    (even powers only); the extrapolation cancels the leading term.
+    The nine-point stencil's error is O(h^6) (even powers only); the
+    extrapolation cancels the leading term.
     """
-    d1 = stencil_derivatives(f, x0, h, max_order, half_width)
-    d2 = stencil_derivatives(f, x0, h/2.0, max_order, half_width)
-    p = 2*half_width - max_order + 2
-    w = 2.0**p
+    d1 = stencil_derivatives(f, x0, h)
+    d2 = stencil_derivatives(f, x0, h/2.0)
+    w = 2.0**6
     return (w*d2 - d1)/(w - 1.0)

@@ -10,6 +10,9 @@ left-endpoint order so results are bit-stable.
 A rotated-ray variant integrates entire integrands along the bent contour
 (arg = pi - theta) -> 0 -> (arg = theta), which converts cubic-phase
 oscillation (Airy-type integrals) into exponential decay.
+
+Every engine returns a :class:`QuadratureResult`; a spent panel budget is
+a ``converged=False`` flag on the best estimate, never an exception.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ContourError, DomainError, NonConvergenceError
+from .errors import ContourError, DomainError
 
 __all__ = [
     "DampingProfile",
@@ -95,6 +98,12 @@ class IntegrandSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An integral with its error estimate, window radius and panel count.
+
+    ``converged`` is False when tol was not met within ``_MAX_PANELS``
+    panels; value and error_estimate are then the best estimate and its error.
+    """
+
     value: complex
     error_estimate: float
     truncation_radius: float
@@ -162,7 +171,8 @@ def _panel_sums(f: Callable[[np.ndarray], np.ndarray],
     return k15, np.abs(k15 - g7)
 
 
-def _adapt(f, lo, hi, tol, oscillation_scale):
+def _adapt(f, lo, hi, tol, oscillation_scale) -> QuadratureResult:
+    """Refine K15 panels on [lo, hi]; hi is the reported window radius."""
     n0 = int(np.clip(math.ceil((hi - lo)*oscillation_scale/(2*math.pi)/1.5),
                      8, 4096))
     edges = np.linspace(lo, hi, n0 + 1)
@@ -172,11 +182,10 @@ def _adapt(f, lo, hi, tol, oscillation_scale):
     while True:
         total = np.sum(k15[np.argsort(lefts, kind="stable")])
         total_err = float(err.sum())
-        target = 0.5*tol*(1.0 + abs(total))
-        if total_err <= target:
-            return total, total_err, len(lefts), True
-        if len(lefts) >= _MAX_PANELS:
-            return total, total_err, len(lefts), False
+        converged = bool(total_err <= 0.5*tol*(1.0 + abs(total)))
+        if converged or len(lefts) >= _MAX_PANELS:
+            return QuadratureResult(total, total_err, hi, len(lefts),
+                                    converged)
         # split the worst ~12% of panels, at least one, within the budget
         n_split = max(1, min(len(lefts)//8, _MAX_PANELS - len(lefts)))
         worst = np.argsort(err, kind="stable")[-n_split:]
@@ -191,28 +200,26 @@ def _adapt(f, lo, hi, tol, oscillation_scale):
         err = np.concatenate([err[keep], err_new])
 
 
+def _window(spec: IntegrandSpec, tol: float) -> float:
+    """Entry checks of the 1-d engines; the radius for tail tol/10."""
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
+    prof = spec.damping_profile
+    if not isinstance(prof, DampingProfile):
+        raise TypeError("expected a single DampingProfile")
+    return truncation_radius(prof.coefficient, prof.power, tol/10.0,
+                             prof.scale)
+
+
 def integrate_1d(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     """Integrate over the real line, truncated via the damping profile.
 
     The window is chosen so the neglected tail is below tol/10; panels are
     then refined until the summed Kronrod-Gauss error estimate is below
-    tol*(1 + |value|)/2.  Raises :class:`NonConvergenceError` (with the best
-    estimate attached) if the panel budget is exhausted.
+    tol*(1 + |value|)/2.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    prof = spec.damping_profile
-    if not isinstance(prof, DampingProfile):
-        raise TypeError("integrate_1d expects a single DampingProfile")
-    R = truncation_radius(prof.coefficient, prof.power, tol/10.0, prof.scale)
-    value, err, n, ok = _adapt(spec.evaluator, -R, R, tol,
-                               spec.oscillation_scale)
-    result = QuadratureResult(value, err, R, n, ok)
-    if not ok:
-        raise NonConvergenceError(
-            "panel budget exhausted (err=%.3e, target tol=%.1e)" % (err, tol),
-            result=result)
-    return result
+    R = _window(spec, tol)
+    return _adapt(spec.evaluator, -R, R, tol, spec.oscillation_scale)
 
 
 def integrate_nd(spec: IntegrandSpec, tol: float) -> QuadratureResult:
@@ -221,35 +228,34 @@ def integrate_nd(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     Axis 0 (u) is the outer integral; its integrand runs one inner
     integration over v per outer node.  The reported error adds the outer
     estimate to the largest inner estimate scaled by the outer window, which
-    is conservative for near-separable damping.
+    is conservative for near-separable damping.  ``converged`` is False if
+    the outer or any inner integral spent its panel budget.
     """
     profiles = spec.damping_profile
     if isinstance(profiles, DampingProfile) or len(profiles) != 2:
         raise ValueError("need one damping profile per axis")
-    inner_tol = tol/4.0
-    inner_err = 0.0
-    inner_panels = 0
-
-    outer = profiles[0]
+    inner_err, inner_panels, inner_ok = 0.0, 0, True
 
     def outer_integrand(u):
-        nonlocal inner_err, inner_panels
+        nonlocal inner_err, inner_panels, inner_ok
         out = np.empty(u.shape, dtype=complex)
         flat = out.ravel()
         for i, ui in enumerate(np.asarray(u).ravel()):
             r = integrate_1d(IntegrandSpec(
                 lambda v, ui=ui: spec.evaluator(ui, v), profiles[1],
-                spec.oscillation_scale), inner_tol)
+                spec.oscillation_scale), tol/4.0)
             flat[i] = r.value
             inner_err = max(inner_err, r.error_estimate)
             inner_panels += r.panel_count
+            inner_ok = inner_ok and r.converged
         return out
 
-    top = integrate_1d(IntegrandSpec(outer_integrand, outer,
+    top = integrate_1d(IntegrandSpec(outer_integrand, profiles[0],
                                      spec.oscillation_scale), tol)
     total_err = top.error_estimate + 2*top.truncation_radius*inner_err
     return QuadratureResult(top.value, total_err, top.truncation_radius,
-                            top.panel_count + inner_panels, top.converged)
+                            top.panel_count + inner_panels,
+                            top.converged and inner_ok)
 
 
 def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,
@@ -264,10 +270,7 @@ def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,
     decay along the rays; decay is spot-checked and a
     :class:`ContourError` is raised if the tail has not died off.
     """
-    prof = spec.damping_profile
-    if not isinstance(prof, DampingProfile):
-        raise TypeError("rotated_ray_integral expects a single DampingProfile")
-    R = truncation_radius(prof.coefficient, prof.power, tol/10.0, prof.scale)
+    R = _window(spec, tol)
     e_out = np.exp(1j*ray_angle)
     e_in = np.exp(1j*(math.pi - ray_angle))
 
@@ -286,9 +289,4 @@ def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,
             "integrand grows along the rotated ray (|f(0.9R..R)| ~ %.2e vs "
             "head %.2e)" % (probe.max(), ref))
 
-    value, err, n, ok = _adapt(along, 0.0, R, tol, spec.oscillation_scale)
-    result = QuadratureResult(value, err, R, n, ok)
-    if not ok:
-        raise NonConvergenceError("rotated-ray panel budget exhausted",
-                                  result=result)
-    return result
+    return _adapt(along, 0.0, R, tol, spec.oscillation_scale)

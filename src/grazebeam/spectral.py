@@ -25,6 +25,7 @@ principal powers of (-nu).  :func:`neg_power` owns this rule.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def boundary_prefactor_full(z, k: float):
 
 
 def _boundary_transform(eta: float, tau: float, k: float, tol: float,
-                        damping: float, integrand) -> complex:
+                        damping: float, integrand) -> QuadratureResult:
     """int integrand(z, mu, nu) dz at (mu, nu) = (eta, tau)/k.
 
     Damped adaptive quadrature (error target tol (1 + |value|)/2) over the
@@ -156,11 +157,11 @@ def _boundary_transform(eta: float, tau: float, k: float, tol: float,
     osc = abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0
     spec = IntegrandSpec(lambda z: integrand(z, mu, nu),
                          DampingProfile(damping, 4), osc)
-    return integrate_1d(spec, tol).value
+    return integrate_1d(spec, tol)
 
 
 def boundary_hat_frozen(eta: float, tau: float, k: float,
-                        tol: float = 1e-8) -> complex:
+                        tol: float = 1e-8) -> QuadratureResult:
     """Transform of the beam trace with the frame frozen at its vertex value.
 
     (2 pi / k)^{1/2} int e^{-i k rho(z)} dz with rho =
@@ -175,12 +176,14 @@ def boundary_hat_frozen(eta: float, tau: float, k: float,
         return np.exp(-1j*k*(boundary_exponent_frozen(z, mu, nu)
                              - boundary_exponent_frozen(0.0, mu, nu)))
 
-    value = _boundary_transform(eta, tau, k, tol, k/32.0, f)
-    return math.sqrt(2.0*math.pi/k)*math.exp(-(tau + k)**2/(2.0*k))*value
+    res = _boundary_transform(eta, tau, k, tol, k/32.0, f)
+    scale = math.sqrt(2.0*math.pi/k)*math.exp(-(tau + k)**2/(2.0*k))
+    return replace(res, value=scale*res.value,
+                   error_estimate=scale*res.error_estimate)
 
 
 def boundary_hat_full(eta: float, tau: float, k: float,
-                      tol: float = 1e-8) -> complex:
+                      tol: float = 1e-8) -> QuadratureResult:
     """Boundary transform with the full y-dependent frame and amplitude.
 
     Absolute error target, so no relative digits where |value| << tol.

@@ -253,11 +253,14 @@ def test_criterion_11_quadrature_battery():
         (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0), 1e-9)
     e_fres = abs(fr.value - math.pi/(0.1 - 1j))/abs(math.pi/(0.1 - 1j))
 
-    ok = (e_gauss <= 1e-12 and e_osc <= 1e-10 and e_quart <= 1e-12
-          and e_airy <= 1e-8 and e_fres <= 1e-8)
+    converged = all(r.converged for r in (g, f, q, a, fr))
+    ok = (converged and e_gauss <= 1e-12 and e_osc <= 1e-10
+          and e_quart <= 1e-12 and e_airy <= 1e-8 and e_fres <= 1e-8)
     _report(11, ok, "gauss %.1e (1e-12), osc-gauss %.1e rel (1e-10), "
             "quartic %.1e (1e-12), airy-contour %.1e (1e-8), fresnel "
-            "%.1e rel (1e-8)" % (e_gauss, e_osc, e_quart, e_airy, e_fres), t0)
+            "%.1e rel (1e-8), converged=%s"
+            % (e_gauss, e_osc, e_quart, e_airy, e_fres, converged), t0)
+    assert converged
     assert e_gauss <= 1e-12
     assert e_osc <= 1e-10
     assert e_quart <= 1e-12

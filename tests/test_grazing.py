@@ -16,7 +16,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from grazebeam import airy, grazing, quadrature, raybeam, spectral
-from grazebeam.errors import DomainError, NonConvergenceError
+from grazebeam.errors import DomainError
 from grazebeam.quadrature import DampingProfile, IntegrandSpec, integrate_1d
 
 
@@ -195,6 +195,23 @@ class TestUIntegral:
             assert res.converged
             assert abs(res.value - wc)/abs(wc) == pytest.approx(1.15, rel=1e-2)
 
+    @pytest.mark.parametrize("pairs, rel_err", [
+        (((100.0, 1e3), (1e4, 1e6)), 0.54),
+        (((1e4, 1e3), (1e6, 1e6)), 1.32),
+    ])
+    def test_large_x_error_follows_k_over_x_three_halves(self, pairs,
+                                                         rel_err):
+        # at large x the error depends on k / x^{3/2}: 1 in the first pair
+        # of cells and 1e-3 in the second, all converged and marked ok
+        errs = []
+        for x, k in pairs:
+            res = grazing.u_integral(x, k)
+            wc = grazing.w_on_ray_closed(x)
+            assert res.converged
+            errs.append(abs(res.value - wc)/abs(wc))
+        assert errs[0] == pytest.approx(errs[1], rel=2e-2)
+        assert errs == pytest.approx([rel_err]*2, rel=2e-2)
+
     def test_k_below_ten_refused(self):
         with pytest.raises(DomainError):
             grazing.u_integral(1.0, 5.0)
@@ -242,21 +259,12 @@ def _amos_and_four_terms(z):
 
 
 def _record_integrate_1d(monkeypatch):
-    """Route grazing's integrate_1d through a recorder of its results.
-
-    A spent panel budget is recorded as the result NonConvergenceError
-    carries, and the error is re-raised.
-    """
+    """Route grazing's integrate_1d through a recorder of its results."""
     seen = []
 
     def recording(spec, tol):
-        try:
-            res = integrate_1d(spec, tol)
-        except NonConvergenceError as exc:
-            seen.append(exc.result)
-            raise
-        seen.append(res)
-        return res
+        seen.append(integrate_1d(spec, tol))
+        return seen[-1]
     monkeypatch.setattr(grazing, "integrate_1d", recording)
     return seen
 
@@ -296,6 +304,14 @@ class TestResultContract:
         res = grazing.z_integral(1.0, 1e3, tol=1e-17)
         assert len(seen) == 1 and not seen[0].converged
         assert res == seen[0]
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    @pytest.mark.parametrize("route", ["u_integral", "z_integral"])
+    def test_tol_at_least_one_refused(self, route, tol):
+        # at the parent u_integral(1, 1e3, tol=1e300) gave |w| = 0.0593 on
+        # a window of radius 0.5, marked converged
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            getattr(grazing, route)(1.0, 1e3, tol=tol)
 
     def test_spectral_on_ray_is_the_oracle_at_the_ray_point(self):
         x, k = 0.5, 60.0

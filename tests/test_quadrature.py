@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grazebeam.quadrature as quad
-from grazebeam.errors import ContourError, DomainError, NonConvergenceError
+from grazebeam.errors import ContourError, DomainError
 from grazebeam.quadrature import (DampingProfile, IntegrandSpec, integrate_1d,
                                   integrate_nd, rotated_ray_integral,
                                   truncation_radius)
@@ -17,6 +17,7 @@ class TestIntegrate1d:
     def test_gaussian(self):
         res = integrate_1d(IntegrandSpec(lambda u: np.exp(-u*u),
                                          DampingProfile(1.0, 2)), 1e-12)
+        assert res.converged
         assert abs(res.value - math.sqrt(math.pi)) <= 1e-12
 
     def test_oscillatory_gaussian_closed_form(self):
@@ -26,6 +27,7 @@ class TestIntegrate1d:
         res = integrate_1d(IntegrandSpec(lambda u: np.exp(1j*k*u - u*u),
                                          DampingProfile(1.0, 2), k), 1e-12)
         exact = math.sqrt(math.pi)*math.exp(-k*k/4.0)
+        assert res.converged
         assert abs(res.value - exact)/exact <= 1e-10
 
     def test_oscillatory_gaussian_cancellation_floor(self):
@@ -35,6 +37,7 @@ class TestIntegrate1d:
         k = 20.0
         res = integrate_1d(IntegrandSpec(lambda u: np.exp(1j*k*u - u*u),
                                          DampingProfile(1.0, 2), k), 1e-12)
+        assert res.converged
         assert abs(res.value) <= 1e-13
 
     def test_quartic_moment_half_line(self):
@@ -42,6 +45,7 @@ class TestIntegrate1d:
             IntegrandSpec(lambda u: u*np.exp(-u**4), DampingProfile(1.0, 4)),
             0.0, 1e-12, half_line=True)
         from scipy.special import gamma
+        assert res.converged
         assert abs(res.value - gamma(0.5)/4.0) <= 1e-12
 
     def test_self_consistency_on_halved_tolerance(self):
@@ -49,6 +53,7 @@ class TestIntegrate1d:
                              DampingProfile(1.0, 2), 2.0)
         r1 = integrate_1d(spec, 1e-8)
         r2 = integrate_1d(spec, 5e-9)
+        assert r1.converged and r2.converged
         assert abs(r1.value - r2.value) <= max(r1.error_estimate, 1e-14)
 
     def test_determinism(self):
@@ -56,16 +61,25 @@ class TestIntegrate1d:
                              DampingProfile(1.0, 2), 7.0)
         a = integrate_1d(spec, 1e-10)
         b = integrate_1d(spec, 1e-10)
+        assert a.converged
         assert a.value == b.value and a.error_estimate == b.error_estimate
 
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         monkeypatch.setattr(quad, "_MAX_PANELS", 16)
         spec = IntegrandSpec(lambda u: np.exp(1j*300*u - u*u),
                              DampingProfile(1.0, 2), 1.0)
-        with pytest.raises(NonConvergenceError) as err:
-            integrate_1d(spec, 1e-12)
-        assert err.value.result is not None
-        assert err.value.result.converged is False
+        res = integrate_1d(spec, 1e-12)
+        assert res.converged is False
+        assert res.panel_count == 16
+        assert np.isfinite(res.value) and res.error_estimate > 0
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_tol_at_least_one_refused(self, tol):
+        # tail tol/10 >= 0.1 would shrink the window to radius 0.5 and
+        # report 0.923 for sqrt(pi) as converged
+        spec = IntegrandSpec(lambda u: np.exp(-u*u), DampingProfile(1.0, 2))
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            integrate_1d(spec, tol)
 
 
 class TestIntegrateNd:
@@ -73,6 +87,7 @@ class TestIntegrateNd:
         spec = IntegrandSpec(lambda u, v: np.exp(-u*u - v*v),
                              (DampingProfile(1.0, 2), DampingProfile(1.0, 2)))
         res = integrate_nd(spec, 1e-10)
+        assert res.converged
         assert abs(res.value - math.pi) <= 1e-10
 
     def test_damped_fresnel_vs_closed_form(self):
@@ -83,7 +98,25 @@ class TestIntegrateNd:
             oscillation_scale=14.0)
         res = integrate_nd(spec, 1e-9)
         exact = math.pi/(0.1 - 1j)
+        assert res.converged
         assert abs(res.value - exact)/abs(exact) <= 1e-8
+
+    def test_inner_spent_budget_is_flagged(self, monkeypatch):
+        # the outer u-integral converges on 8 panels; its 120 inner
+        # v-integrals of e^{300iv - v^2} spend their 16 each: 1928 panels
+        monkeypatch.setattr(quad, "_MAX_PANELS", 16)
+        spec = IntegrandSpec(lambda u, v: np.exp(-u*u - v*v + 300j*v),
+                             (DampingProfile(1.0, 2), DampingProfile(1.0, 2)))
+        res = integrate_nd(spec, 1e-10)
+        assert res.converged is False
+        assert res.panel_count == 8 + 120*16
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_tol_at_least_one_refused(self, tol):
+        spec = IntegrandSpec(lambda u, v: np.exp(-u*u - v*v),
+                             (DampingProfile(1.0, 2), DampingProfile(1.0, 2)))
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            integrate_nd(spec, tol)
 
 
 class TestTruncationRadius:
@@ -164,6 +197,7 @@ class TestRotatedRay:
         spec = IntegrandSpec(lambda w: np.exp(1j*w**3/3.0),
                              DampingProfile(1.0/3.0, 3))
         res = rotated_ray_integral(spec, np.pi/6.0, 1e-10)
+        assert res.converged
         assert abs(res.value - 2.0*np.pi*airy_ai(0.0).value) <= 1e-8
 
     def test_quartic_moment_rotated_matches_formula(self):
@@ -174,6 +208,7 @@ class TestRotatedRay:
         spec = IntegrandSpec(lambda w: w*np.exp(-b*w**4),
                              DampingProfile(1.0, 4))
         res = rotated_ray_integral(spec, th, 1e-10, half_line=True)
+        assert res.converged
         assert abs(res.value - quartic_moment(b)) <= 1e-8
 
     def test_angle_zero_reduces_to_line(self):
@@ -182,6 +217,7 @@ class TestRotatedRay:
         line = integrate_1d(IntegrandSpec(lambda u: np.exp(-u*u + 0j),
                                           DampingProfile(1.0, 2)), 1e-12)
         rot = rotated_ray_integral(spec, 0.0, 1e-12)
+        assert line.converged and rot.converged
         assert abs(rot.value - line.value) <= 1e-12
 
     def test_growth_raises_contour_error(self):
@@ -189,3 +225,19 @@ class TestRotatedRay:
                              DampingProfile(0.5, 2))
         with pytest.raises(ContourError):
             rotated_ray_integral(spec, 0.1, 1e-8)
+
+    def test_spent_budget_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(quad, "_MAX_PANELS", 16)
+        spec = IntegrandSpec(lambda w: np.exp(300j*w - w*w),
+                             DampingProfile(1.0, 2))
+        res = rotated_ray_integral(spec, 0.0, 1e-12)
+        assert res.converged is False
+        assert res.panel_count == 16
+        assert np.isfinite(res.value)
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_tol_at_least_one_refused(self, tol):
+        spec = IntegrandSpec(lambda w: np.exp(-w*w + 0j),
+                             DampingProfile(1.0, 2))
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            rotated_ray_integral(spec, 0.0, tol)

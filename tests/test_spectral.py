@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from grazebeam import airy, spectral
+from grazebeam import airy, quadrature, spectral
 from grazebeam.errors import DomainError
 from grazebeam.quadrature import (DampingProfile, IntegrandSpec,
                                   integrate_1d, truncation_radius)
@@ -196,7 +196,8 @@ class TestBoundaryHatFrozen:
                              oscillation_scale=250.0)
         oracle = integrate_nd(spec, 1e-9).value
         got = spectral.boundary_hat_frozen(eta, tau, k, tol=1e-10)
-        assert abs(got - oracle)/abs(oracle) <= 1e-6
+        assert got.converged
+        assert abs(got.value - oracle)/abs(oracle) <= 1e-6
 
     def test_gaussian_factor_at_scaled_pair(self):
         # moving (eta, tau) along a fixed direction mu/nu keeps the bare
@@ -206,15 +207,26 @@ class TestBoundaryHatFrozen:
         eps = 3.0/math.sqrt(k)
         num = spectral.boundary_hat_frozen(k*(1 + eps), -k*(1 + eps), k)
         den = spectral.boundary_hat_frozen(k, -k, k)
-        assert abs(num/den) == pytest.approx(math.exp(-4.5), rel=0.10)
+        assert num.converged and den.converged
+        assert abs(num.value/den.value) == pytest.approx(math.exp(-4.5),
+                                                         rel=0.10)
 
     def test_smooth_in_eta(self):
         k = 50.0
         d = 1e-4
-        f = lambda e: spectral.boundary_hat_frozen(e, -50.0, k, tol=1e-11)
+
+        def f(e):
+            res = spectral.boundary_hat_frozen(e, -50.0, k, tol=1e-11)
+            assert res.converged
+            return res.value
         d1 = (f(50.0 + d) - f(50.0 - d))/(2*d)
         d2 = (f(50.0 + 2*d) - f(50.0 - 2*d))/(4*d)
         assert abs(d1 - d2)/abs(d1) <= 1e-4
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_tol_at_least_one_refused(self, tol):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            spectral.boundary_hat_frozen(100.0, -100.0, 100.0, tol=tol)
 
 
 #: (tau + k)/sqrt(k) at which e^{-(tau + k)^2/(2k)} = 1e-30
@@ -245,7 +257,8 @@ class TestBoundaryTransformsWrittenOut:
         want = (math.sqrt(2.0*math.pi/k)*math.exp(-(tau + k)**2/(2.0*k))
                 * transform_written_out(f, eta, tau, k, k/32.0))
         got = spectral.boundary_hat_frozen(eta, tau, k)
-        assert abs(got - want) <= 1e-12*abs(want)
+        assert got.converged
+        assert abs(got.value - want) <= 1e-12*abs(want)
 
     @pytest.mark.parametrize("shift", [0.0, -_GAUSS_1E30, _GAUSS_1E30])
     @pytest.mark.parametrize("k", [100.0, 1e3, 1e4])
@@ -260,10 +273,20 @@ class TestBoundaryTransformsWrittenOut:
 
         want = transform_written_out(f, eta, tau, k, 0.7*k/32.0)
         got = spectral.boundary_hat_full(eta, tau, k)
-        assert abs(got - want) <= 1e-12*abs(want)
+        assert got.converged
+        assert abs(got.value - want) <= 1e-12*abs(want)
 
 
 class TestBoundaryHatFull:
+    @pytest.mark.parametrize("name", ["boundary_hat_frozen",
+                                      "boundary_hat_full"])
+    def test_spent_budget_is_flagged(self, name, monkeypatch):
+        # tol = 1e-17 is below the ~1e-16 error floor of the initial panels
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        res = getattr(spectral, name)(100.0, -100.0, 100.0, tol=1e-17)
+        assert res.converged is False
+        assert np.isfinite(res.value) and res.error_estimate > 0
+
     def test_vertex_exponents_agree(self):
         r_full = spectral.boundary_exponent_full(0.0, 0.7, -1.1)
         r_froz = spectral.boundary_exponent_frozen(0.0, 0.7, -1.1)
@@ -290,7 +313,8 @@ class TestBoundaryHatFull:
         k = 400.0
         full = spectral.boundary_hat_full(k, -k, k)
         froz = spectral.boundary_hat_frozen(k, -k, k)
-        assert abs(full - froz)/abs(froz) <= 0.15
+        assert full.converged and froz.converged
+        assert abs(full.value - froz.value)/abs(froz.value) <= 0.15
 
 
 class TestPhaseFull:
