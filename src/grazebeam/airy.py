@@ -14,7 +14,7 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
   z = e^{-i pi/3} q, q real, which carries every Airy argument of the
   spectral oracle.  :func:`ai_scaled_on_ray` has two branches:
 
-  - |q| >= RAY_RADIUS (= 8): the DLMF 9.7.5 series in t = -1/zeta, in
+  - |q| >= RATIO_CROSSOVER (= 8): the DLMF 9.7.5 series in t = -1/zeta, in
     real arithmetic: with r = (2/3)|q|^{3/2}, t = -i/r (q >= 0) or 1/r
     (q < 0), so t^2 is real.  A call stops after the least order n whose
     first neglected term u_{n+1}/r_min^{n+1} (DLMF 9.7(iv)) is below
@@ -22,7 +22,7 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
     5 at 100.  On the Stokes line (q < 0) the neglected exponential adds
     exp(-4|q|^{3/2}/3) ~ 8e-14 at |q| = 8.  Measured against mpmath on
     q in [-60, 60]: 5.8e-14 relative for q <= -8 and 7.7e-15 for q >= 8;
-  - |q| < RAY_RADIUS: with w = -q real, z = omega w and the connection
+  - |q| < RATIO_CROSSOVER: with w = -q real, z = omega w and the connection
     formula Ai(omega w) = e^{i pi/3}(Ai(w) - i Bi(w))/2 (DLMF 9.2.11)
     reduces Ai to the real-argument Cephes routines.  Ai(w) and Bi(w) are
     O(1) for w < 0 and Bi dominates for w > 0, so nothing cancels; the
@@ -39,7 +39,7 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
   points:
 
   - :func:`ratio_on_ray` (the u-integral, z = e^{-i pi/3} q, q real):
-    the series for |q| >= RAY_RADIUS; inside, from the connection formula
+    the series for |q| >= RATIO_CROSSOVER; inside, from the connection formula
     above, omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)) with w = -q.
     The split is at 8 because scipy's real ``airy`` hands |w| > 10 to
     AMOS (2.5 us a point on [-16, -8], against 0.1 us on [-8, 0]).
@@ -76,7 +76,6 @@ __all__ = [
     "R_MAX",
     "RATIO_CROSSOVER",
     "RAY",
-    "RAY_RADIUS",
     "WRONSKIAN_ZERO",
     "ai_scaled_on_ray",
     "airy_ai",
@@ -97,14 +96,11 @@ RAY = np.exp(-1j*np.pi/3.0)
 #: supported evaluation radius for the direct Ai evaluation
 R_MAX = 40.0
 
-#: switch radius between direct and asymptotic Ai'/Ai
+#: |z| (|q| on the ray) from which Ai'/Ai and scaled Ai sum their series
 RATIO_CROSSOVER = 8.0
 
 #: exact value of the constant Wronskian, (omega - 1) / (2*pi*sqrt(3))
 WRONSKIAN_ZERO = (OMEGA - 1.0)/(2.0*np.pi*np.sqrt(3.0))
-
-#: |q| from which ai_scaled_on_ray sums the asymptotic series
-RAY_RADIUS = 8.0
 
 # correction coefficients u_n of the asymptotic series, u_0 = 1,
 # u_{n+1} = u_n (6n+1)(6n+5) / (72 (n+1))
@@ -233,13 +229,13 @@ def ai_scaled_on_ray(q):
     """Ai(z) exp((2/3) z^{3/2}) at z = e^{-i pi/3} q for real q, elementwise.
 
     The same value as ``sp.airye(z)[0]``, from the asymptotic series for
-    |q| >= RAY_RADIUS and the real-argument connection formula inside;
+    |q| >= RATIO_CROSSOVER and the real-argument connection formula inside;
     see the module docstring for the truncation and the accuracy of each
     branch.
     """
     q = np.asarray(q, dtype=float)
     out = np.empty(q.shape, dtype=complex)
-    far = np.abs(q) >= RAY_RADIUS
+    far = np.abs(q) >= RATIO_CROSSOVER
     if far.any():
         qf = q[far]
         neg = qf < 0
@@ -267,14 +263,14 @@ def ai_scaled_on_ray(q):
 def ratio_on_ray(q):
     """Ai'(z)/Ai(z) at z = e^{-i pi/3} q for real q, elementwise.
 
-    |q| >= RAY_RADIUS: the quotient of the DLMF 9.7.5 and 9.7.6 series;
+    |q| >= RATIO_CROSSOVER: the quotient of the DLMF 9.7.5 and 9.7.6 series;
     inside, the real-argument connection formula
     omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)), w = -q.  Ai has no
     zeros on the ray, so no proximity guard is needed.
     """
     q = np.asarray(q, dtype=float)
     out = np.empty(q.shape, dtype=complex)
-    far = np.abs(q) >= RAY_RADIUS
+    far = np.abs(q) >= RATIO_CROSSOVER
     if far.any():
         out[far] = _ratio_series(RAY*q[far])
     near = ~far

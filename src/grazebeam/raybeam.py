@@ -221,17 +221,15 @@ def beam_field(x: float, y: float, t: float, k: float) -> complex:
     frame, p = beam_matrix(y), central_ray(y)
     u = np.array([x - p.x, t - p.t])
     d = math.hypot(*u)
-    # Im M > 0: |v| <= |a| e^{-k lam d^2/2} is 0 here, where psi may be NaN
-    if 0.5*k*float(np.linalg.eigvalsh(frame.M.imag)[0])*d*d > 746.0:
+    # k Im psi = (k d^2/2) e.Im M.e with e = u/d: past 746, |v| is 0 and psi
+    # itself may be NaN
+    if d > 0.0 and 0.5*k*d*d*float(u/d @ frame.M.imag @ (u/d)) > 746.0:
         return 0j
     with np.errstate(over="ignore", invalid="ignore"):
         v = frame.a*np.exp(1j*k*beam_phase(x, y, t))
-    if np.isfinite(v):
-        return v
-    # far along the ray lam ~ 16/y^6 is too weak a bound: test k Im psi
-    if 0.5*k*d*d*float(u/d @ frame.M.imag @ (u/d)) <= 746.0:
+    if not np.isfinite(v):
         raise OverflowError("k psi exceeds the float range")
-    return 0j
+    return v
 
 
 def beam_on_ray(x: float) -> complex:

@@ -46,7 +46,6 @@ __all__ = [
     "exact_solution",
     "neg_power",
     "phase_full",
-    "reciprocal_airy_factor",
     "scaled_branch",
     "zeta",
 ]
@@ -221,25 +220,6 @@ def phase_full(t: float, x: float, y: float, z: float,
                    + 1j*airy.ray_exponent(qx) - q0*T + T**3/3.0)
 
 
-def _reciprocal_bracket(T, k: float, z0):
-    """i k^{1/3} T - omega Ai'/Ai(z0), z0 = zeta(0, k mu, k nu)."""
-    return 1j*k**(1.0/3.0)*np.asarray(T) - airy.OMEGA*airy.airy_ratio(z0)
-
-
-def reciprocal_airy_factor(T, mu: float, nu: float, k: float):
-    """Integrand factor i k^{1/3} T - omega Ai'/Ai(zeta(0, k mu, k nu)).
-
-    Integrated against e^{i k [-|nu|^{2/3}(1 - mu^2/nu^2) T + T^3/3]} k^{1/3}
-    dT / (2 pi W(0)) this reproduces 1/Ai(zeta(0, k mu, k nu)); the factor
-    itself is what multiplies the amplitude of the reflected-wave integral.
-    """
-    if nu >= 0:
-        raise DomainError("the scaled branch requires nu < 0")
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return _reciprocal_bracket(T, k, airy.RAY*scaled_branch(0.0, mu, nu, k)[2])
-
-
 def amplitude_Z(k: float, x: float, mu, nu, T):
     """Leading amplitude Z(k, x, mu, nu, T) of the four-fold representation.
 
@@ -247,15 +227,19 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
         * (i k^{1/3} T - omega Ai'/Ai(zeta(0, k mu, k nu)))
         * zeta(x, k mu, k nu)^{-1/4},
 
-    without the O(k^{-1}) correction.  ``mu``, ``nu``, ``T`` may be complex
-    near the steepest-descent point nu = -1 + iC; the |nu| powers continue
-    via :func:`neg_power`.
+    without the O(k^{-1}) correction.  The bracket, integrated against
+    e^{i k [-|nu|^{2/3}(1 - mu^2/nu^2) T + T^3/3]} k^{1/3} dT / (2 pi W(0)),
+    reproduces 1/Ai(zeta(0, k mu, k nu)).  ``mu``, ``nu``, ``T`` may be
+    complex near the steepest-descent point nu = -1 + iC; the |nu| powers
+    continue via :func:`neg_power`.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     _, qx, q0 = scaled_branch(x, mu, nu, k)
     front = k**(11.0/6.0)/(np.sqrt(2.0)*(2.0*np.pi)**3*airy.WRONSKIAN_ZERO)
-    return front*_reciprocal_bracket(T, k, airy.RAY*q0)*(airy.RAY*qx)**-0.25
+    bracket = (1j*k**(1.0/3.0)*np.asarray(T)
+               - airy.OMEGA*airy.airy_ratio(airy.RAY*q0))
+    return front*bracket*(airy.RAY*qx)**-0.25
 
 
 # ---------------------------------------------------------------------------

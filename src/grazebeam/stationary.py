@@ -7,13 +7,13 @@ yz = y - z,
 
     r = -[ (x/2 + 1 + sqrt(1 + x - yz^2/4)) / (2 (x^2 + yz^2)) ]^{1/2} yz,
 
-with r = -1 exactly on the grazing set 4x = yz^2.  The phase at the
-stationary point, the Hessian determinant J, the decomposition
-Phi^sp = nu C + B + i (nu + 1)^2/2, the steepest-descent step in nu, and
-the reduced one-dimensional z-integrand are all implemented from their
-closed forms; the Taylor ladders of r and of the reduced phase at the
-grazing set provide the fourth-order coefficient that controls the
-grazing amplitude.
+with r = -1 exactly on the grazing set 4x = yz^2.  The stationary point
+is s* = nu (1 + r), T* = sign |nu|^{1/3} sqrt(1 - r^2); the phase there is
+Phi^sp = nu C + B + i (nu + 1)^2/2.  The Hessian determinant J, B, C, the
+steepest-descent step in nu, and the reduced one-dimensional z-integrand
+that assembles them are all implemented from their closed forms; the
+Taylor ladders of r and of the reduced phase at the grazing set provide
+the fourth-order coefficient that controls the grazing amplitude.
 """
 
 from __future__ import annotations
@@ -31,32 +31,15 @@ __all__ = [
     "B_of_z",
     "C_of",
     "SeriesCoefficients",
-    "StationaryData",
     "hessian_J",
     "nu_descent",
     "phi_reduced",
-    "phi_sp",
     "quartic_coefficient",
     "reduced_integrand",
     "root_r",
     "series_phi",
     "series_r",
-    "stationary_point",
 ]
-
-
-@dataclass(frozen=True)
-class StationaryData:
-    """Stationary-point data at fixed (x, y, z, nu)."""
-
-    r: float
-    s: float
-    T: float
-    sign_branch: str      # '+' for 4x > (y-z)^2, '-' for 4x < (y-z)^2
-    phi_sp: complex
-    J: float
-    B: complex
-    C: float
 
 
 @dataclass(frozen=True)
@@ -99,44 +82,15 @@ def root_r(x: float, y: float, z):
     return float(r) if np.ndim(z) == 0 else r
 
 
-def stationary_point(x: float, y: float, z: float, nu: float,
-                     t: float = 0.0) -> StationaryData:
-    """Assemble the stationary data at (x, y, z) for real nu < 0.
-
-    s = nu (1 + r) and T = sign * |nu|^{1/3} sqrt(1 - r^2) where the sign
-    is + for 4x > (y - z)^2 and - for 4x < (y - z)^2, making T continuous
-    with a simple zero across the grazing set.  The phase fields are
-    evaluated at time ``t`` (they are affine in t); the remaining fields do
-    not depend on t.
-    """
-    if nu >= 0:
-        raise DomainError("stationary point defined for nu < 0")
-    r = root_r(x, y, z)
-    B, C = B_of_z(z), C_of(x, y, z, t, r)
-    sign, T = _t_star(x, y, z, nu, r)
-    return StationaryData(
-        r=r, s=nu*(1.0 + r), T=float(T.real),
-        sign_branch=("+" if sign > 0 else "-"), phi_sp=_phi(nu, B, C),
-        J=float(hessian_J(x, nu, r).real), B=B, C=C)
-
-
 def _t_star(x: float, y: float, z, nu, r):
-    """(sign, T*) with T* = sign |nu|^{1/3} sqrt(1 - r^2), complex.
+    """T* = sign |nu|^{1/3} sqrt(1 - r^2), complex.
 
-    sign = +1 for 4x > (y - z)^2 and -1 otherwise; |nu|^{1/3} continues
-    through :func:`neg_power`, so nu may be complex.
+    sign = +1 for 4x > (y - z)^2 and -1 otherwise, which makes T*
+    continuous with a simple zero across the grazing set; |nu|^{1/3}
+    continues through :func:`neg_power`, so nu may be complex.
     """
     sign = np.where(4.0*x > (y - z)**2, 1.0, -1.0)
-    return sign, sign*neg_power(nu, 1.0/3.0)*np.sqrt((1.0 - r*r) + 0j)
-
-
-def phi_sp(t: float, x: float, y: float, nu, z: float) -> complex:
-    """Phase at the stationary point, Phi^sp = nu C + B + i (nu + 1)^2/2."""
-    return _phi(nu, B_of_z(z), C_of(x, y, z, t))
-
-
-def _phi(nu, B, C):
-    return nu*C + B + 0.5j*(nu + 1.0)**2
+    return sign*neg_power(nu, 1.0/3.0)*np.sqrt((1.0 - r*r) + 0j)
 
 
 def hessian_J(x: float, nu, r) -> complex:
@@ -224,7 +178,7 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
     r = root_r(x, y, z)
 
     def amp(nu):
-        T = _t_star(x, y, z, nu, r)[1]
+        T = _t_star(x, y, z, nu, r)
         return ((2.0*math.pi/k)*amplitude_Z(k, x, nu*r, nu, T)
                 * (-hessian_J(x, nu, r))**-0.5)
 

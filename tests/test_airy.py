@@ -218,8 +218,9 @@ def _scaled_ai_mpmath(q):
         return complex(mp.airyai(z)*mp.exp(mp.mpf(2)/3*z**mp.mpf(1.5)))
 
 
-# both sides of the branch switch |q| = RAY_RADIUS, on both halves of the ray
-_R = airy.RAY_RADIUS
+# both sides of the branch switch |q| = RATIO_CROSSOVER, on both halves of
+# the ray
+_R = airy.RATIO_CROSSOVER
 _RAY_EDGES = [s*r for s in (-1.0, 1.0)
               for r in (_R*(1.0 - 1e-12), _R, _R*(1.0 + 1e-12), _R - 1e-3,
                         _R + 1e-3)]
@@ -278,7 +279,7 @@ class TestScaledOnRay:
         assert np.all(np.abs(got - ref) <= bound*np.abs(ref))
 
     def test_series_order_is_monotone_in_r(self):
-        r = np.geomspace((2.0/3.0)*airy.RAY_RADIUS**1.5, 1e17, 2000)
+        r = np.geomspace((2.0/3.0)*airy.RATIO_CROSSOVER**1.5, 1e17, 2000)
         orders = [airy._series_order(v) for v in r]
         assert orders[0] == airy.MAX_ASYMPTOTIC_ORDER and orders[-1] == 0
         assert all(a >= b for a, b in zip(orders, orders[1:]))
@@ -314,7 +315,7 @@ class TestRatioOnRay:
         # exponential exp(-(4/3)|q|^{3/2}), 8e-14 at |q| = 8
         q = np.asarray(q, dtype=float)
         r = (2.0/3.0)*np.abs(q)**1.5
-        stokes = (q <= -airy.RAY_RADIUS)*4.0*np.exp(-2.0*r)
+        stokes = (q <= -airy.RATIO_CROSSOVER)*4.0*np.exp(-2.0*r)
         return 3e-14 + stokes
 
     @pytest.mark.parametrize("q", list(np.linspace(-60.0, 100.0, 81))
@@ -358,4 +359,4 @@ class TestRatioOnRay:
         monkeypatch.setattr(airy.sp, "airy", record)
         monkeypatch.setattr(airy.sp, "airye", refuse)
         airy.ratio_on_ray(np.linspace(-100.0, 100.0, 2001))
-        assert seen and max(seen) < airy.RAY_RADIUS
+        assert seen and max(seen) < airy.RATIO_CROSSOVER

@@ -63,13 +63,22 @@ class TestBeamCommands:
     @pytest.mark.parametrize("y", ["1e80", "1e100"])
     def test_field_far_along_ray_is_zero(self, capsys, y):
         # the least eigenvalue of Im M (about 16/y^6) bounds k Im psi far
-        # too weakly there, and the quadratic form of the phase overflows
+        # too weakly there, and the quadratic form of the phase overflows;
+        # the guard tests k Im psi itself
         code = main(["beam", "field", "--x", "0", "--y", y, "--t", "0",
                      "--k", "1"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         row = captured.out.strip().splitlines()[1].split(",")
         assert [float(v) for v in row[4:]] == [0.0, 0.0, 0.0]
+
+    def test_field_below_range_prints_unsigned_zero(self, capsys):
+        # k Im psi = 1023 > 746 here: the exponential, had it been
+        # evaluated, would underflow to -0
+        code, out = run_cli(capsys, "beam", "field", "--x", "0", "--y", "3",
+                            "--t", "100", "--k", "1")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "0,3,100,1,0,0,0"
 
 
 class TestGrazeW:
