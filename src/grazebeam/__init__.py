@@ -11,7 +11,7 @@ route.
 
 Modules
 -------
-airy        complex Airy kernel Ai, Ai(omega z), the constant Wronskian
+airy        complex Airy kernel Ai, Ai'/Ai, the constant Wronskian
 raybeam     bicharacteristics, the central ray, beam matrices and field
 spectral    Airy-quotient representation and the direct (oracle) evaluation
 stationary  stationary-phase data, steepest descent, Taylor ladders
@@ -19,7 +19,8 @@ grazing     the one-dimensional amplitude integrals and closed forms
 quadrature  damped-oscillatory adaptive quadrature and contour rotation
 verification  named check suites behind the ``grazebeam verify`` command
 fd          finite-difference stencils and Richardson extrapolation
-errors      exception types: domain, degeneracy, branch, contour
+errors      exception types: DomainError (outside the domain or at a
+            degenerate point), ContourError
 cli         the ``grazebeam`` command line (``ray``, ``beam``, ``graze``,
             ``verify``)
 """

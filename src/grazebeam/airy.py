@@ -1,4 +1,4 @@
-"""Complex Airy function kernel: Ai, its rotation Ai(omega*z), and Ai'/Ai.
+"""Complex Airy function kernel: Ai, the Wronskian with Ai(omega*z), Ai'/Ai.
 
 Everything downstream (the spectral quotient, the reciprocal Wronskian
 factor, the grazing-amplitude integrals) reduces to four ingredients:
@@ -55,9 +55,9 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
     1.2e-13 towards arg z = +-2 pi/3, and 5e-16 from |z| = 10 on.
     0.2 us a series point, 5-9 us an AMOS one.
 
-The rotated function A(z) = Ai(omega*z) with omega = exp(2*pi*i/3) and the
-constant Wronskian W(z) = A(z)Ai'(z) - A'(z)Ai(z) implement the reciprocal
-trick used to invert Ai on the boundary.
+:func:`wronskian` evaluates the constant W(z) = A(z)Ai'(z) - A'(z)Ai(z) of
+A(z) = Ai(omega*z), omega = exp(2*pi*i/3), with A'(z) = omega*Ai'(omega*z);
+it implements the reciprocal trick used to invert Ai on the boundary.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import DegeneracyError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "AiryValue",
@@ -81,7 +81,6 @@ __all__ = [
     "airy_ai",
     "airy_asymptotic",
     "airy_ratio",
-    "airy_rotated",
     "ratio_on_ray",
     "ray_exponent",
     "wronskian",
@@ -126,7 +125,7 @@ _ZERO_PROXIMITY = 1e-12
 
 @dataclass(frozen=True)
 class AiryValue:
-    """Ai (or a rotation of it) together with its derivative."""
+    """Ai together with its derivative."""
 
     value: complex
     derivative: complex
@@ -150,12 +149,6 @@ def airy_ai(z: complex) -> AiryValue:
     return AiryValue(complex(ai), complex(aip))
 
 
-def airy_rotated(z: complex) -> AiryValue:
-    """A(z) = Ai(omega*z) and A'(z) = omega*Ai'(omega*z)."""
-    w = airy_ai(OMEGA*complex(z))
-    return AiryValue(w.value, OMEGA*w.derivative)
-
-
 def wronskian(z: complex) -> complex:
     """A(z)Ai'(z) - A'(z)Ai(z); constant in z (equals WRONSKIAN_ZERO).
 
@@ -172,8 +165,8 @@ def wronskian(z: complex) -> complex:
         v = airy_ai(OMEGA**2*z)
         return u.derivative*v.value - OMEGA*u.value*v.derivative
     ai = airy_ai(z)
-    ro = airy_rotated(z)
-    return ro.value*ai.derivative - ro.derivative*ai.value
+    ro = airy_ai(OMEGA*z)
+    return ro.value*ai.derivative - OMEGA*ro.derivative*ai.value
 
 
 def airy_asymptotic(z: complex, order: int = 0) -> complex:
@@ -297,7 +290,7 @@ def airy_ratio(z):
     Points with |z| >= RATIO_CROSSOVER and |arg z| <= 2 pi/3 are summed from
     the differentiated asymptotic series (DLMF 9.7.5, 9.7.6); the others
     are formed directly from AMOS, which covers |z| <= R_MAX.  Arguments
-    too close to a zero of Ai raise :class:`DegeneracyError`; proximity is
+    too close to a zero of Ai raise :class:`DomainError`; proximity is
     measured on the exponentially scaled modulus so the test is meaningful
     in the decaying sector as well.
     """
@@ -317,7 +310,7 @@ def airy_ratio(z):
         # Ai and Ai' carry the same scale factor, which cancels in the ratio
         eai, eaip, _, _ = sp.airye(zs)
         if np.any(np.abs(eai) < _ZERO_PROXIMITY):
-            raise DegeneracyError(
+            raise DomainError(
                 "evaluation too close to a zero of Ai (scaled |Ai| < %.1e)"
                 % _ZERO_PROXIMITY)
         out[direct] = eaip/eai

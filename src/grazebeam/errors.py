@@ -2,17 +2,13 @@
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematically supported region."""
+    """Argument outside the mathematically supported region.
 
-
-class DegeneracyError(ValueError):
-    """Evaluation at a degenerate configuration (division blow-up, Airy zero)."""
-
-
-class BranchError(ValueError):
-    """A fractional power or square root landed on its branch cut."""
+    Also raised at degenerate points inside it: a zero of Ai, the root at
+    x = 0, y = z, the stationary phase at y = z, and a radicand on its
+    branch cut.
+    """
 
 
 class ContourError(RuntimeError):
     """Rotated-contour integration detected growth along the ray."""
-

@@ -1,8 +1,8 @@
 """Finite-difference derivative helpers for the verification oracles.
 
 Centered stencils are generated by solving the local Vandermonde system on
-nine equispaced nodes, which yields all derivatives through the requested
-order at once; Richardson extrapolation over (h, h/2) removes the leading
+nine equispaced nodes, which yields all derivatives through order 4 at
+once; Richardson extrapolation over (h, h/2) removes the leading
 truncation term.  Fourth derivatives in double precision need the step
 balanced against cancellation, so callers pass a characteristic scale.
 """
@@ -20,20 +20,18 @@ __all__ = ["stencil_derivatives", "richardson_derivatives"]
 _HALF_WIDTH = 4
 
 
-def stencil_derivatives(f: Callable[[float], complex], x0: float, h: float,
-                        max_order: int = 4):
-    """Derivatives f(x0), f'(x0), ..., f^(max_order)(x0) from one stencil.
+def stencil_derivatives(f: Callable[[float], complex], x0: float, h: float):
+    """Derivatives f(x0), f'(x0), ..., f^(4)(x0) from one stencil.
 
     Uses the nine equispaced nodes x0 + j*h, |j| <= 4, and solves the
-    Vandermonde system for the Taylor coefficients; max_order is at most 8.
+    Vandermonde system for the Taylor coefficients.
     """
     js = np.arange(-_HALF_WIDTH, _HALF_WIDTH + 1)
     nodes = x0 + js*h
     vals = np.array([f(v) for v in nodes], dtype=complex)
     powers = np.vander(js*h, len(js), increasing=True)
     coeffs = np.linalg.solve(powers, vals)
-    return np.array([coeffs[n]*math.factorial(n)
-                     for n in range(max_order + 1)])
+    return np.array([coeffs[n]*math.factorial(n) for n in range(5)])
 
 
 def richardson_derivatives(f: Callable[[float], complex], x0: float,

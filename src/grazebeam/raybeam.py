@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError
+from .errors import DomainError
 
 __all__ = [
     "BeamFrame",
@@ -189,7 +189,7 @@ def eikonal_residual(x: float, y: float, t: float) -> complex:
     psi_x, psi_y, psi_t = psi_gradient(x, y, t)
     rad = (1.0 + x)*psi_t**2 - psi_x**2
     if rad.real <= 0.0 and abs(rad.imag) < 1e-14:
-        raise BranchError("eikonal radicand on the negative real axis")
+        raise DomainError("eikonal radicand on the negative real axis")
     return psi_y - np.sqrt(rad)
 
 

@@ -7,7 +7,7 @@ yz = y - z,
 
     r = -[ (x/2 + 1 + sqrt(1 + x - yz^2/4)) / (2 (x^2 + yz^2)) ]^{1/2} yz,
 
-with r = -1 exactly on the grazing set 4x = yz^2.  The stationary point
+with r = -1 on the grazing set 4x = yz^2.  The stationary point
 is s* = nu (1 + r), T* = sign |nu|^{1/3} sqrt(1 - r^2); the phase there is
 Phi^sp = nu C + B + i (nu + 1)^2/2.  The Hessian determinant J, B, C, the
 steepest-descent step in nu, and the reduced one-dimensional z-integrand
@@ -19,18 +19,16 @@ the fourth-order coefficient that controls the grazing amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DomainError
 from .spectral import amplitude_Z, neg_power
 
 __all__ = [
     "B_of_z",
     "C_of",
-    "SeriesCoefficients",
     "hessian_J",
     "nu_descent",
     "phi_reduced",
@@ -42,23 +40,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Taylor data at the grazing set, offset w from z = y - 2 sqrt(x).
-
-    For the root: r = c0 + c2 w^2 + c3 w^3/6 + c4 w^4/24 + O(w^5) with
-    c0 = -1, c1 = 0, c2 = 1/8 and c3, c4 the raw third and fourth
-    derivatives.  For the reduced phase the entries are the raw
-    derivatives (value, 0, 0, phi_zzz, phi_zzzz).
-    """
-
-    c0: complex
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-
-
 def _check_region(x: float, yz) -> None:
     if np.any(4.0 + 4.0*x < np.asarray(yz)**2):
         raise DomainError("(y - z)^2 exceeds 4 + 4x: r^2 not real")
@@ -67,18 +48,21 @@ def _check_region(x: float, yz) -> None:
 def root_r(x: float, y: float, z):
     """The admissible root of the stationary quartic (array-safe in z).
 
-    Negative for y > z, equal to -1 exactly on the grazing set
-    4x = (y - z)^2, and satisfying the signed stationarity equation
-    y - z + 2r [sqrt(x + 1 - r^2) -/+ sqrt(1 - r^2)] = 0 with the minus
-    sign for 4x >= (y - z)^2.
+    Negative for y > z, in [-1, 1], equal to -1 to one rounding on the
+    grazing set 4x = (y - z)^2, and satisfying the signed stationarity
+    equation y - z + 2r [sqrt(x + 1 - r^2) -/+ sqrt(1 - r^2)] = 0 with the
+    minus sign for 4x >= (y - z)^2.
     """
     z = np.asarray(z, dtype=float)
     yz = y - z
     _check_region(x, yz)
     if np.any((yz == 0.0) & (x == 0.0)):
-        raise DegeneracyError("root undefined at x = 0, y = z")
+        raise DomainError("root undefined at x = 0, y = z")
     disc = np.sqrt(1.0 + x - yz*yz/4.0)
-    r = -np.sqrt((x/2.0 + 1.0 + disc)/(2.0*(x*x + yz*yz)))*yz
+    # |r| <= 1, with equality only on the grazing set, where the closed
+    # form rounds up to 2.2e-16 past it
+    r = np.clip(-np.sqrt((x/2.0 + 1.0 + disc)/(2.0*(x*x + yz*yz)))*yz,
+                -1.0, 1.0)
     return float(r) if np.ndim(z) == 0 else r
 
 
@@ -125,7 +109,7 @@ def _stationary_sum(x: float, y: float, z: np.ndarray, r=None):
     """
     yz = y - z
     if np.any(yz == 0.0):
-        raise DegeneracyError("stationary phase undefined at y = z")
+        raise DomainError("stationary phase undefined at y = z")
     if r is None:
         r = root_r(x, y, z)
     return r*yz + yz**3/(48.0*r**3) + r*x*x/yz
@@ -189,19 +173,17 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
 # Taylor data at the grazing set
 # ---------------------------------------------------------------------------
 
-def series_r(x: float) -> SeriesCoefficients:
-    """Closed-form Taylor data of r at the grazing set.
+def series_r(x: float) -> np.ndarray:
+    """Raw z-derivatives of r of orders 0-4 at the grazing set.
 
-    (c0, c1, c2) = (-1, 0, 1/8) universally; the raw derivatives are
-    c3 = r_zzz = (3/8)(x^{-1/2} - x^{1/2}) and
-    c4 = r_zzzz = (15/16)(x - 1 + 1/x).
+    (r, r_z, r_zz) = (-1, 0, 1/4) universally;
+    r_zzz = (3/8)(x^{-1/2} - x^{1/2}) and r_zzzz = (15/16)(x - 1 + 1/x).
     """
     if x <= 0:
         raise DomainError("series defined for x > 0")
     sx = math.sqrt(x)
-    return SeriesCoefficients(-1.0, 0.0, 0.125,
-                              (3.0/8.0)*(1.0/sx - sx),
-                              (15.0/16.0)*(x - 1.0 + 1.0/x))
+    return np.array([-1.0, 0.0, 0.25, (3.0/8.0)*(1.0/sx - sx),
+                     (15.0/16.0)*(x - 1.0 + 1.0/x)])
 
 
 def phi_reduced(x: float, y: float, z):
@@ -211,31 +193,27 @@ def phi_reduced(x: float, y: float, z):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def series_phi(x: float) -> SeriesCoefficients:
-    """Taylor data of the reduced phase phi about the grazing point.
+def series_phi(x: float) -> np.ndarray:
+    """Raw z-derivatives of the reduced phase phi of orders 0-4.
 
     Base point (x, y, z) = (x, 2 sqrt(x), 0); the z-derivatives depend only
-    on y - z, so this normalization loses no generality.  Entries are raw
-    derivatives: (phi, phi_z, phi_zz, phi_zzz, phi_zzzz) =
+    on y - z, so this normalization loses no generality:
+    (phi, phi_z, phi_zz, phi_zzz, phi_zzzz) =
     (-y - (y-z)^3/12, 0, 0, -1/4, (3/8)(sqrt(x) - 1/sqrt(x))).
     """
     if x <= 0:
         raise DomainError("series defined for x > 0")
     sx = math.sqrt(x)
-    base = -2.0*sx - (2.0/3.0)*x*sx
-    return SeriesCoefficients(base, 0.0, 0.0, -0.25,
-                              (3.0/8.0)*(sx - 1.0/sx))
+    return np.array([-2.0*sx - (2.0/3.0)*x*sx, 0.0, 0.0, -0.25,
+                     (3.0/8.0)*(sx - 1.0/sx)])
 
 
 def quartic_coefficient(x: float) -> complex:
     """a(x) with d^4/dz^4 [B - C] = 24 a(x) on the ray at the grazing point.
 
-    a(x) = [-(3/8)(sqrt(x) - 1/sqrt(x)) + 3i/4] / 24; its imaginary part is
-    1/32 for every x, which is the universal quartic damping rate of the
-    grazing amplitude integral.  (Named to avoid colliding with the beam
-    amplitude a(y).)
+    a(x) = (B_zzzz - phi_zzzz)/24 = [-(3/8)(sqrt(x) - 1/sqrt(x)) + 3i/4]/24;
+    its imaginary part is 1/32 for every x, which is the universal quartic
+    damping rate of the grazing amplitude integral.  (Named to avoid
+    colliding with the beam amplitude a(y).)
     """
-    if x <= 0:
-        raise DomainError("quartic coefficient defined for x > 0")
-    sx = math.sqrt(x)
-    return complex(-(3.0/8.0)*(sx - 1.0/sx), 0.75)/24.0
+    return complex(-series_phi(x)[4], 0.75)/24.0

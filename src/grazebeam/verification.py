@@ -229,15 +229,15 @@ def suite_appendix2() -> VerificationReport:
                                    0.0, h)
         sr = stationary.series_r(x)
         rep.add("r_z[x=%g]" % x, 0.0, abs(d[1]), 1e-5)
-        rep.add("r_zz[x=%g]" % x, 0.25, abs(d[2]), 1e-5)
-        rep.add("r_zzz[x=%g]" % x, sr.c3, d[3].real, 1e-5)
-        rep.add("r_zzzz[x=%g]" % x, sr.c4, d[4].real, 1e-5)
+        rep.add("r_zz[x=%g]" % x, sr[2], abs(d[2]), 1e-5)
+        rep.add("r_zzz[x=%g]" % x, sr[3], d[3].real, 1e-5)
+        rep.add("r_zzzz[x=%g]" % x, sr[4], d[4].real, 1e-5)
 
         dphi = richardson_derivatives(
             lambda w: stationary.phi_reduced(x, y0, w), 0.0, h)
         sp_ = stationary.series_phi(x)
-        rep.add("phi_zzz[x=%g]" % x, sp_.c3, dphi[3].real, 1e-4)
-        rep.add("phi_zzzz[x=%g]" % x, sp_.c4, dphi[4].real, 1e-4)
+        rep.add("phi_zzz[x=%g]" % x, sp_[3], dphi[3].real, 1e-4)
+        rep.add("phi_zzzz[x=%g]" % x, sp_[4], dphi[4].real, 1e-4)
 
         t0 = raybeam.central_ray(y0).t
         dg = richardson_derivatives(

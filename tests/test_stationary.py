@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grazebeam import spectral, stationary
-from grazebeam.errors import DegeneracyError, DomainError
+from grazebeam.errors import DomainError
 from grazebeam.fd import richardson_derivatives, stencil_derivatives
 
 
@@ -102,7 +102,7 @@ class TestRootR:
     def test_domain_and_degeneracy_errors(self):
         with pytest.raises(DomainError):
             stationary.root_r(0.1, 3.0, 0.0)     # (y-z)^2 > 4 + 4x
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DomainError, match="root undefined at x = 0, y = z"):
             stationary.root_r(0.0, 1.0, 1.0)
 
     def test_in_unit_interval(self):
@@ -112,6 +112,56 @@ class TestRootR:
             span = rng.uniform(1e-3, 2.0*math.sqrt(1.0 + x) - 1e-6)
             r = stationary.root_r(x, span, 0.0)
             assert -1.0 <= r < 0.0
+
+
+    def test_closed_form_stays_in_unit_interval_on_grazing_curves(self):
+        # on 4x = (y - z)^2 the closed form rounds to 2.2e-16 past -1 (z
+        # below y) or +1 (z above y) unless clipped; T* at nu = -1 is then
+        # imaginary instead of real
+        y, xs = 2.5, np.linspace(0.1, 2.0, 2001)
+        for sign in (-1.0, 1.0):
+            z = y + sign*2.0*np.sqrt(xs)
+            r = np.array([stationary.root_r(x, y, zi) for x, zi in zip(xs, z)])
+            assert np.all(np.abs(r) <= 1.0) and np.all(np.sign(r) == sign)
+            assert np.all(np.abs(np.abs(r) - 1.0) <= np.finfo(float).eps)
+            T = np.array([stationary._t_star(x, y, zi, -1.0, ri)
+                          for x, zi, ri in zip(xs, z, r)])
+            assert np.all(T.imag == 0.0)
+            assert np.all(T[np.abs(r) == 1.0] == 0.0)
+            assert np.count_nonzero(np.abs(r) == 1.0) >= 1000
+
+
+@st.composite
+def root_points(draw):
+    """(x, y, z, on): z on, within 1e-12 of, or away from 4x = (y - z)^2."""
+    x = draw(st.floats(0.05, 5.0))
+    y = draw(st.floats(-3.0, 3.0))
+    g = 2.0*math.sqrt(x)
+    zs, on = [], []
+    for kind, sign, u in draw(st.lists(st.tuples(
+            st.sampled_from(("on", "near", "away")),
+            st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 1.0)),
+            min_size=1, max_size=8)):
+        if kind == "away":
+            zs.append(y - 0.999*u*math.sqrt(4.0 + 4.0*x))
+        else:
+            zs.append(y + sign*g + (1e-12*u if kind == "near" else 0.0))
+        on.append(kind != "away")
+    return x, y, np.array(zs), np.array(on)
+
+
+class TestRootRange:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(root_points())
+    def test_unit_interval_and_grazing_modulus(self, case):
+        x, y, z, on = case
+        r = stationary.root_r(x, y, z)
+        assert np.all((-1.0 <= r) & (r <= 1.0))
+        # |r| = 1 on the set; 1e-12 off it moves r by O(1e-25)
+        assert np.all(np.abs(np.abs(r[on]) - 1.0) <= np.finfo(float).eps)
+        assert np.all(np.sign(r[on]) == np.sign(z[on] - y))
+        loop = [stationary.root_r(x, y, zi) for zi in z]
+        assert np.array_equal(r, loop)
 
 
 class TestStationaryPoint:
@@ -182,7 +232,8 @@ class TestPhiSp:
                                        abs=1e-14)
 
     def test_degeneracy_at_y_equals_z(self):
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DomainError,
+                           match="stationary phase undefined at y = z"):
             stationary.C_of(1.0, 1.0, 1.0, 0.0)
 
 
@@ -233,7 +284,7 @@ class TestBandC:
         y = 2.0*math.sqrt(x)
         t = y + y**3/12.0
         d = stencil_derivatives(lambda z: stationary.C_of(x, y, z, t),
-                                0.0, 0.02, max_order=2)
+                                0.0, 0.02)
         assert abs(d[1]) <= 1e-6 and abs(d[2]) <= 1e-6
 
     def test_mixed_derivatives_at_grazing(self):
@@ -248,7 +299,7 @@ class TestBandC:
 
         def z_derivs(xx, yy):
             return stencil_derivatives(
-                lambda z: stationary.C_of(xx, yy, z, t), 0.0, h, max_order=2)
+                lambda z: stationary.C_of(xx, yy, z, t), 0.0, h)
 
         dx = (z_derivs(x + d, y) - z_derivs(x - d, y))/(2*d)
         dy = (z_derivs(x, y + d) - z_derivs(x, y - d))/(2*d)
@@ -390,10 +441,10 @@ class TestReducedIntegrand:
 class TestSeries:
     def test_series_r_closed_values(self):
         sr = stationary.series_r(1.0)
-        assert (sr.c0, sr.c1, sr.c2) == (-1.0, 0.0, 0.125)
-        assert sr.c3 == 0.0
-        assert sr.c4 == pytest.approx(15.0/16.0)
-        assert stationary.series_r(4.0).c3 == pytest.approx(-9.0/16.0)
+        assert list(sr[:3]) == [-1.0, 0.0, 0.25]
+        assert sr[3] == 0.0
+        assert sr[4] == pytest.approx(15.0/16.0)
+        assert stationary.series_r(4.0)[3] == pytest.approx(-9.0/16.0)
 
     @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_series_r_fd_oracle(self, x):
@@ -402,11 +453,11 @@ class TestSeries:
         d = richardson_derivatives(lambda w: stationary.root_r(x, y0, w),
                                    0.0, h)
         sr = stationary.series_r(x)
-        assert abs(d[0] - sr.c0) <= 1e-10
+        assert abs(d[0] - sr[0]) <= 1e-10
         assert abs(d[1]) <= 1e-5
-        assert abs(d[2] - 2*sr.c2) <= 1e-5      # r_zz = 1/4 = 2 c2
-        assert abs(d[3] - sr.c3) <= 1e-5
-        assert abs(d[4] - sr.c4) <= 1e-5
+        assert abs(d[2] - sr[2]) <= 1e-5
+        assert abs(d[3] - sr[3]) <= 1e-5
+        assert abs(d[4] - sr[4]) <= 1e-5
 
     @pytest.mark.parametrize("x", [0.25, 1.0, 4.0])
     def test_series_phi_fd_oracle(self, x):
@@ -415,15 +466,15 @@ class TestSeries:
         d = richardson_derivatives(
             lambda w: stationary.phi_reduced(x, y0, w), 0.0, h)
         sp_ = stationary.series_phi(x)
-        assert abs(d[0] - sp_.c0) <= 1e-8
+        assert abs(d[0] - sp_[0]) <= 1e-8
         assert abs(d[1]) <= 1e-6 and abs(d[2]) <= 1e-5
-        assert abs(d[3] - sp_.c3) <= 1e-4
-        assert abs(d[4] - sp_.c4) <= 1e-4
+        assert abs(d[3] - sp_[3]) <= 1e-4
+        assert abs(d[4] - sp_[4]) <= 1e-4
 
     def test_phi_zzz_universal(self):
         for x in (0.3, 1.0, 2.7):
-            assert stationary.series_phi(x).c3 == -0.25
-        assert stationary.series_phi(1.0).c4 == 0.0
+            assert stationary.series_phi(x)[3] == -0.25
+        assert stationary.series_phi(1.0)[4] == 0.0
 
 
 class TestQuarticCoefficient:
