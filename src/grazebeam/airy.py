@@ -178,7 +178,7 @@ def airy_asymptotic(z: complex, order: int = 0) -> complex:
     """
     z = complex(z)
     if order < 0 or order > MAX_ASYMPTOTIC_ORDER:
-        raise ValueError("order must be in [0, %d]" % MAX_ASYMPTOTIC_ORDER)
+        raise DomainError("order must be in [0, %d]" % MAX_ASYMPTOTIC_ORDER)
     if abs(z) < 2.0:
         raise DomainError("asymptotic form requires |z| >= 2")
     if abs(np.angle(z)) >= np.pi - 0.01:

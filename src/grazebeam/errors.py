@@ -4,9 +4,10 @@
 class DomainError(ValueError):
     """Argument outside the mathematically supported region.
 
-    Also raised at degenerate points inside it: a zero of Ai, the root at
-    x = 0, y = z, the stationary phase at y = z, and a radicand on its
-    branch cut.
+    The library refuses every argument value with it; only the CLI's own
+    parsing raises a plain ``ValueError``.  Also raised at degenerate
+    points inside the region: a zero of Ai, the root at x = 0, y = z, the
+    stationary phase at y = z, and a radicand on its branch cut.
     """
 
 

@@ -75,9 +75,9 @@ class DampingProfile:
 
     def __post_init__(self):
         if self.coefficient <= 0:
-            raise ValueError("damping coefficient must be positive")
+            raise DomainError("damping coefficient must be positive")
         if self.power not in (2, 3, 4):
-            raise ValueError("damping power must be 2, 3 or 4")
+            raise DomainError("damping power must be 2, 3 or 4")
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
     :class:`DomainError` when no R up to about 1e8 meets the bound.
     """
     if damping_coefficient <= 0:
-        raise ValueError("damping coefficient must be positive")
+        raise DomainError("damping coefficient must be positive")
     if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+        raise DomainError("tail tolerance must be positive")
     a, p, c = damping_coefficient, power, max(scale, 1e-300)
 
     def tail(R):
@@ -203,7 +203,7 @@ def _adapt(f, lo, hi, tol, oscillation_scale) -> QuadratureResult:
 def _window(spec: IntegrandSpec, tol: float) -> float:
     """Entry checks of the 1-d engines; the radius for tail tol/10."""
     if not 0 < tol < 1:
-        raise ValueError("tol must lie in (0, 1)")
+        raise DomainError("tol must lie in (0, 1)")
     prof = spec.damping_profile
     if not isinstance(prof, DampingProfile):
         raise TypeError("expected a single DampingProfile")
@@ -233,7 +233,7 @@ def integrate_nd(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     """
     profiles = spec.damping_profile
     if isinstance(profiles, DampingProfile) or len(profiles) != 2:
-        raise ValueError("need one damping profile per axis")
+        raise DomainError("need one damping profile per axis")
     inner_err, inner_panels, inner_ok = 0.0, 0, True
 
     def outer_integrand(u):

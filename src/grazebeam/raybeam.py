@@ -217,7 +217,7 @@ def transport_residual(y: float) -> complex:
 def beam_field(x: float, y: float, t: float, k: float) -> complex:
     """The beam v = a(y) exp(i k psi(x, y, t)), k > 0."""
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise DomainError("k must be positive")
     frame, p = beam_matrix(y), central_ray(y)
     u = np.array([x - p.x, t - p.t])
     d = math.hypot(*u)
@@ -239,5 +239,5 @@ def beam_on_ray(x: float) -> complex:
     positive, so the principal branch is the continuous one).
     """
     if x < 0:
-        raise ValueError("x must be nonnegative")
+        raise DomainError("x must be nonnegative")
     return (1.0 + 4.0*x + 2j*x**1.5)**-0.5

@@ -150,7 +150,7 @@ def _boundary_transform(eta: float, tau: float, k: float, tol: float,
     the beam phase over that window.
     """
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise DomainError("k must be positive")
     mu, nu = eta/k, tau/k
     radius = truncation_radius(damping, 4, tol/10.0)
     osc = abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0
@@ -234,7 +234,7 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
     continue via :func:`neg_power`.
     """
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise DomainError("k must be positive")
     _, qx, q0 = scaled_branch(x, mu, nu, k)
     front = k**(11.0/6.0)/(np.sqrt(2.0)*(2.0*np.pi)**3*airy.WRONSKIAN_ZERO)
     bracket = (1j*k**(1.0/3.0)*np.asarray(T)
@@ -305,7 +305,7 @@ def exact_solution(x: float, y: float, t: float, k: float,
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise DomainError("k must be positive")
     tail = 1e-8
     z_max = (32.0*math.log(1.0/tail)/k)**0.25
     nu_half = math.sqrt(2.0*math.log(1.0/tail)/k)

@@ -139,7 +139,7 @@ def nu_descent(x: float, y: float, z, t: float, k: float,
     saddles; ``r`` is :func:`root_r` at z when the caller has it.
     """
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise DomainError("k must be positive")
     B = B_of_z(z)
     C = C_of(x, y, z, t, r)
     return (math.sqrt(2.0*math.pi/k)*amp(-1.0 + 1j*C)

@@ -1,13 +1,13 @@
-"""Shared oracles: high-precision Airy series, ODE integrators, FD stencils.
+"""Shared oracle: the Airy function by its Maclaurin series at high precision.
 
-The oracles deliberately avoid the code paths they check: the Airy oracle
-sums the Maclaurin series in 40-digit arithmetic from the exact gamma
-constants, and the flow oracles integrate the defining ODEs with a
-classical fixed-step scheme.
+The oracle deliberately avoids the code paths it checks: it sums the
+series in 40-digit arithmetic from the exact gamma constants.  The ODE
+oracles of the tests (the flow, the variational and the on-shell frame)
+run on the RK4 engine of :mod:`grazebeam.verification`, which
+``tests/test_raybeam.py`` checks against a step-by-step RK4 loop.
 """
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 
@@ -45,27 +45,6 @@ def series_airy(z, dps=40, min_terms=40, max_terms=400):
             zn = zn*zm
             n += 1
         return complex(val), complex(der)
-
-
-def rk4(rhs, y0, state0, y1, nsteps):
-    """Classical fixed-step RK4 over complex state vectors."""
-    state = np.asarray(state0, dtype=complex)
-    h = (y1 - y0)/nsteps
-    y = y0
-    for _ in range(nsteps):
-        k1 = rhs(y, state)
-        k2 = rhs(y + h/2, state + h/2*k1)
-        k3 = rhs(y + h/2, state + h/2*k2)
-        k4 = rhs(y + h, state + h*k3)
-        state = state + h/6*(k1 + 2*k2 + 2*k3 + k4)
-        y += h
-    return state
-
-
-def reduced_flow_rhs(y, s):
-    """The reduced bicharacteristic system (eta = 1): state (x, t, xi, tau)."""
-    x, t, xi, tau = s
-    return np.array([xi, -tau*(1.0 + x), tau*tau/2.0, 0.0], dtype=complex)
 
 
 @pytest.fixture(scope="session")

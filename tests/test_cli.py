@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from grazebeam import cli
+import grazebeam
+from grazebeam import (airy, cli, quadrature, raybeam, spectral,
+                       stationary)
 from grazebeam.cli import main
+from grazebeam.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +361,49 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         code, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 1
+
+
+_SPEC = quadrature.IntegrandSpec(np.exp, quadrature.DampingProfile(1.0))
+
+#: one call per library refusal of an argument outside the domain
+_REFUSALS = {
+    "airy_asymptotic-order": lambda: airy.airy_asymptotic(5.0, -1),
+    "damping-coefficient": lambda: quadrature.DampingProfile(0.0),
+    "damping-power": lambda: quadrature.DampingProfile(1.0, power=5),
+    "truncation-coefficient": lambda: quadrature.truncation_radius(0.0, 2,
+                                                                   1e-8),
+    "truncation-tail": lambda: quadrature.truncation_radius(1.0, 2, 0.0),
+    "integrate_1d-tol": lambda: quadrature.integrate_1d(_SPEC, 1.0),
+    "integrate_nd-profiles": lambda: quadrature.integrate_nd(_SPEC, 1e-8),
+    "beam_field-k": lambda: raybeam.beam_field(0.0, 0.0, 0.0, 0.0),
+    "beam_on_ray-x": lambda: raybeam.beam_on_ray(-1.0),
+    "boundary-transform-k": lambda: spectral.boundary_hat_frozen(1.0, 1.0,
+                                                                 0.0),
+    "amplitude_Z-k": lambda: spectral.amplitude_Z(0.0, 1.0, -0.5, -1.0,
+                                                  0.0),
+    "exact_solution-k": lambda: spectral.exact_solution(1.0, 0.0, 0.0, 0.0),
+    "nu_descent-k": lambda: stationary.nu_descent(1.0, 0.0, 0.5, 0.0, 0.0,
+                                                  np.exp),
+}
+
+
+class TestLibraryRefusals:
+    @pytest.mark.parametrize("call", _REFUSALS.values(), ids=list(_REFUSALS))
+    def test_refusal_is_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_cli_import_loads_no_ode_or_optimizer_module(self):
+        # scipy.integrate pulls in scipy.optimize: about 25 MB and 0.2 s
+        # more for every grazebeam process
+        src = os.path.dirname(os.path.dirname(grazebeam.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, grazebeam.cli; print(sorted(m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestOutput:

@@ -12,34 +12,20 @@ characteristic-flow construction does satisfy both identities.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grazebeam import raybeam
-from conftest import reduced_flow_rhs, rk4
+from grazebeam import raybeam, verification
+from grazebeam.verification import (_rk4_propagate, _variational_generator,
+                                    _variational_ode_oracle)
 
 
 #: y on the central ray, away from the overflow of y^3
 _Y = st.floats(-50.0, 50.0, allow_nan=False)
-
-
-def _variational_rhs(y, S):
-    """Variations of the reduced flow along the central ray."""
-    V = S[:4].reshape(2, 2)
-    W = S[4:].reshape(2, 2)
-    x, tau = y*y/4.0, -1.0
-    A = np.array([[0.0, 0.0], [-tau, 0.0]])
-    B = np.array([[1.0, 0.0], [0.0, -(1.0 + x)]])
-    Dm = np.array([[0.0, tau], [0.0, 0.0]])
-    return np.concatenate([(A @ V + B @ W).ravel(), (Dm @ W).ravel()])
-
-
-# data (1, 0, i, 0) and (0, 1, 0, i)
-_VARIATIONAL_S0 = np.concatenate([np.eye(2, dtype=complex).ravel(),
-                                  (1j*np.eye(2)).ravel()])
 
 
 class TestRays:
@@ -76,10 +62,16 @@ class TestRays:
         assert (got.x, got.t, got.xi, got.tau) == (0.3, -0.2, 0.7, -1.4)
 
     def test_flow_general_matches_rk4_oracle(self):
-        p0 = raybeam.RayParams(0.1, 0.4, -0.3, -1.2)
-        state = rk4(reduced_flow_rhs, 0.0,
-                    np.array([0.1, 0.4, -0.3, -1.2]), 2.0, 2000)
-        got = raybeam.flow_general(p0, 2.0)
+        # at fixed tau the reduced flow x' = xi, t' = -tau (1 + x),
+        # xi' = tau^2/2 is affine, so linear in the state (x, t, xi, 1)
+        tau = -1.2
+        G = np.array([[0.0, 0.0, 1.0, 0.0], [-tau, 0.0, 0.0, -tau],
+                      [0.0, 0.0, 0.0, tau*tau/2.0], [0.0, 0.0, 0.0, 0.0]])
+        state, = _rk4_propagate(
+            lambda y: np.broadcast_to(G, np.shape(y) + G.shape),
+            [0.1, 0.4, -0.3, 1.0], [2.0])
+        got = raybeam.flow_general(raybeam.RayParams(0.1, 0.4, -0.3, tau),
+                                   2.0)
         assert abs(got.x - state[0].real) <= 1e-8
         assert abs(got.t - state[1].real) <= 1e-8
         assert abs(got.xi - state[2].real) <= 1e-8
@@ -107,21 +99,12 @@ class TestBeamFrame:
         assert np.linalg.det(V) == pytest.approx(5.0 + 2.0j, abs=1e-12)
 
     def test_variational_ode_oracle(self):
-        S = rk4(_variational_rhs, 0.0, _VARIATIONAL_S0, 3.0, 3000)
-        V, W = raybeam.variational_matrices(3.0)
-        assert np.abs(S[:4].reshape(2, 2) - V).max() <= 1e-8
-        assert np.abs(S[4:].reshape(2, 2) - W).max() <= 1e-8
-
-    def test_suite_oracle_single_pass_matches_separate_runs(self):
-        # the appendix1 suite integrates each side of y = 0 once; at its
-        # grid points the values are those of a separate run to each point
-        from grazebeam.verification import _variational_ode_oracle
+        # the appendix1 suite's oracle at each of its 13 points
         ys = np.linspace(-3.0, 3.0, 13)
-        for y, (V, W) in zip(ys, _variational_ode_oracle(ys)):
-            S = rk4(_variational_rhs, 0.0, _VARIATIONAL_S0, y,
-                    max(1, int(round(abs(y)/1e-3))))
-            assert np.array_equal(V, S[:4].reshape(2, 2))
-            assert np.array_equal(W, S[4:].reshape(2, 2))
+        for y, (Vo, Wo) in zip(ys, _variational_ode_oracle(ys)):
+            V, W = raybeam.variational_matrices(y)
+            assert np.abs(Vo - V).max() <= 1e-12
+            assert np.abs(Wo - W).max() <= 1e-12
 
     def test_beam_matrix_vertex_and_amplitude(self):
         frame = raybeam.beam_matrix(0.0)
@@ -193,6 +176,59 @@ class TestBeamFrame:
         assert np.max(np.abs(np.diff(a))/np.abs(a[:-1])) <= 0.1
 
 
+class TestRK4Propagator:
+    """The batched RK4 engine of the ODE oracles against a step-by-step RK4."""
+
+    _A = np.random.default_rng(3).standard_normal((3, 4, 4))
+
+    @classmethod
+    def _generator(cls, y):
+        y = np.asarray(y, dtype=float)[..., None, None]
+        return cls._A[0] + y*cls._A[1] + np.cos(3.0*y)*cls._A[2]
+
+    @classmethod
+    def _sequential(cls, X, h, n):
+        y = 0.0
+        for _ in range(n):
+            k1 = cls._generator(y) @ X
+            k2 = cls._generator(y + h/2) @ (X + h/2*k1)
+            k3 = cls._generator(y + h/2) @ (X + h/2*k2)
+            k4 = cls._generator(y + h) @ (X + h*k3)
+            X = X + h/6*(k1 + 2*k2 + 2*k3 + k4)
+            y += h
+        return X
+
+    def test_matches_sequential_rk4(self):
+        # G(y) at different y do not commute, so the order of the products
+        # matters
+        G0, G1 = self._generator(0.0), self._generator(1.0)
+        assert np.abs(G0 @ G1 - G1 @ G0).max() > 1.0
+        # stops on both sides of 0; segments of 1, 499 and 1 steps for
+        # y > 0 (h = 0.501/501) and of 3 and 697 steps for y < 0
+        X0 = (np.random.default_rng(4).standard_normal((4, 2))
+              + 1j*np.random.default_rng(5).standard_normal((4, 2)))
+        ys = [0.501, -0.003, 0.0, 0.001, -0.7, 0.5]
+        got = _rk4_propagate(self._generator, X0, ys, 1e-3)
+        h = {1.0: 0.501/501, -1.0: -0.7/700}
+        for y, X in zip(ys, got):
+            ref = self._sequential(X0, h[math.copysign(1.0, y)],
+                                   round(abs(y)/1e-3))
+            assert np.abs(X - ref).max() <= 1e-13*max(1.0, np.abs(ref).max())
+        assert np.array_equal(got[2], X0)
+
+    def test_appendix1_suite_memory_is_segment_sized(self):
+        # one stop-to-stop segment at a time: whole-side batching peaks
+        # at about 3.6 MB
+        verification.suite_appendix1()
+        tracemalloc.start()
+        try:
+            verification.suite_appendix1()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+
 class TestBeamPhase:
     def test_zero_on_ray(self):
         for y in (-1.0, 0.0, 2.0):
@@ -258,12 +294,14 @@ class TestBeamField:
 # residual operations: nominal identities vs measured behavior
 # ---------------------------------------------------------------------------
 
-def _onshell_frame_rhs(y, S):
+def _onshell_generator(y):
     """Linearization of the characteristic flow of the reduced eikonal.
 
     Flow (dx, dt)/dy = (-h_xi, -h_tau), (dxi, dtau)/dy = (h_x, 0) for
-    h = ((1+x) tau^2 - xi^2)^{1/2}, linearized along the central ray.
+    h = ((1+x) tau^2 - xi^2)^{1/2}, linearized along the central ray:
+    G = [[A, B], [C, Dm]] acting on X = [V; W], at each y.
     """
+    y = np.asarray(y, dtype=float)
     x, xi, tau = y*y/4.0, y/2.0, -1.0
     h = 1.0
     h_xxi = xi*tau*tau/(2.0*h**3)
@@ -272,21 +310,21 @@ def _onshell_frame_rhs(y, S):
     h_xitau = xi*(1.0 + x)*tau/h**3
     h_tautau = (1.0 + x)/h - (1.0 + x)**2*tau*tau/h**3
     h_xx = -tau**4/(4.0*h**3)
-    A = np.array([[-h_xxi, 0.0], [-h_xtau, 0.0]], dtype=complex)
-    B = np.array([[-h_xixi, -h_xitau], [-h_xitau, -h_tautau]], dtype=complex)
-    C = np.array([[h_xx, 0.0], [0.0, 0.0]], dtype=complex)
-    Dm = np.array([[h_xxi, h_xtau], [0.0, 0.0]], dtype=complex)
-    V = S[:4].reshape(2, 2)
-    W = S[4:].reshape(2, 2)
-    return np.concatenate([(A @ V + B @ W).ravel(), (C @ V + Dm @ W).ravel()])
+    G = np.zeros(y.shape + (4, 4))
+    G[..., 0, 0], G[..., 1, 0] = -h_xxi, -h_xtau            # A
+    G[..., 0, 2], G[..., 0, 3] = -h_xixi, -h_xitau          # B
+    G[..., 1, 2], G[..., 1, 3] = -h_xitau, -h_tautau
+    G[..., 2, 0] = h_xx                                     # C
+    G[..., 2, 2], G[..., 2, 3] = h_xxi, h_xtau              # Dm
+    return G
 
 
 def _onshell_phase(x, y, t, nsteps=3000):
-    S0 = np.concatenate([np.eye(2, dtype=complex).ravel(),
-                         (1j*np.eye(2)).ravel()])
-    S = rk4(_onshell_frame_rhs, 0.0, S0, y, max(10, int(abs(y)*nsteps)))
-    V = S[:4].reshape(2, 2)
-    M = S[4:].reshape(2, 2) @ np.linalg.inv(V)
+    n = max(10, int(abs(y)*nsteps))
+    X0 = np.vstack([np.eye(2), 1j*np.eye(2)])
+    X, = _rk4_propagate(_onshell_generator, X0, [y], abs(y)/n)
+    V = X[:2]
+    M = X[2:] @ np.linalg.inv(V)
     p = raybeam.central_ray(y)
     dx, dt = x - p.x, t - p.t
     psi = (dx*p.xi + dt*p.tau
