@@ -268,18 +268,39 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
                  for e in h*np.eye(3)[:, :, None, None, None])
 
 
-#: most points in a block's quotient or e^{-ikzs} (132 s-columns at k = 1e3)
+#: most points in a block's quotient or e^{-ikzs} (257 s-columns at k = 1e3)
 _QUOTIENT_BLOCK = 1 << 17
+
+#: oscillation cycles of the exponent per K15 panel, on every axis
+_CYCLES_PER_PANEL = 3.0
+
+#: most K15 panels on one axis; an axis that asks for more is clipped and
+#: the result is flagged not converged
+_AXIS_PANEL_CAP = 700
+
+#: the z and nu windows end where e^{-k z^4/32} and e^{-k (nu+1)^2/2} fall
+#: to these tails
+_Z_TAIL = 1e-8
+_NU_TAIL = 1e-8
+
+#: the s-window pads the stationary set by max(floor, at_k40 (40/k)^{3/4})
+_S_PAD_FLOOR = 0.2
+_S_PAD_AT_K40 = 0.6
 
 
 def _axis_nodes(lo, hi, rate_per_unit, k):
-    """Kronrod nodes/weights (K and G variants) tiling [lo, hi]."""
+    """Kronrod nodes/weights (K and G variants) tiling [lo, hi].
+
+    Returns (nodes, Kronrod weights, Gauss weights, panels, clipped), where
+    ``clipped`` says that the axis asked for more than _AXIS_PANEL_CAP.
+    """
     cycles = (hi - lo)*rate_per_unit*k/(2.0*math.pi)
-    n_panels = int(np.clip(math.ceil(cycles/1.5) + 2, 4, 700))
+    asked = math.ceil(cycles/_CYCLES_PER_PANEL) + 2
+    n_panels = min(max(asked, 4), _AXIS_PANEL_CAP)
     edges = np.linspace(lo, hi, n_panels + 1)
     nodes, half, wk, wg = kronrod_panels(edges[:-1], edges[1:])
     return (nodes.ravel(), np.outer(half, wk).ravel(),
-            np.outer(half, wg).ravel(), n_panels)
+            np.outer(half, wg).ravel(), n_panels, asked > _AXIS_PANEL_CAP)
 
 
 def exact_solution(x: float, y: float, t: float, k: float,
@@ -289,31 +310,38 @@ def exact_solution(x: float, y: float, t: float, k: float,
     Integrates (k/2 pi)^{3/2} times the (z, s, nu) integrand
     e^{i k Phi} Ai(zeta(x))/Ai(zeta(0)) with s = mu + nu, using the exact
     Airy quotient (no asymptotic substitutions).  Truncation windows come
-    from the explicit Gaussian factors e^{-k z^4/32} and e^{-k (nu+1)^2/2};
-    the s window covers the stationary set of the phase with a fixed pad,
-    outside of which the phase is uniformly non-stationary.  Tensor-product
-    Kronrod panels are used on all three axes with per-axis embedded-Gauss
-    error estimates; if the summed estimate exceeds ``tol`` relative the
-    result is returned flagged (``converged=False``) rather than raised.
-    The tensor rule is summed over blocks of s-columns, one
+    from the explicit Gaussian factors e^{-k z^4/32} and e^{-k (nu+1)^2/2}
+    (tails _Z_TAIL and _NU_TAIL); the s window covers the stationary set of
+    the phase with a pad max(0.2, 0.6 (40/k)^{3/4}), outside of which the
+    phase is uniformly non-stationary.  The pad widens as k falls: a fixed
+    0.2 left w 2e-4 off at (x, k) = (1e-3, 40).  Tensor-product Kronrod
+    panels, one per _CYCLES_PER_PANEL = 3 oscillation cycles, are used on
+    all three axes.  The error estimate is the sum of the per-axis
+    embedded-Gauss spreads and the nu-window truncation
+    erfc(sqrt(ln(1/_NU_TAIL))) |value| (1.3e-9 |value|).  It is an upper
+    bound, not a measure: at 3 cycles the Gauss spreads read 1e-9 to 9e-5
+    relative where w is within 3e-13 of the value at 1.5 cycles.  If the
+    estimate exceeds ``tol`` relative, or an axis asks for more than
+    _AXIS_PANEL_CAP = 700 panels and is clipped, the result is returned
+    flagged (``converged=False``) rather than raised; at k = 1e4 the cap
+    clips s on the ray for x >~ 7.7 (719 panels asked at x = 10).  The
+    tensor rule is summed over blocks of s-columns, one
     :func:`airy_quotient` call each (the oracle's one block loop), so only
-    the nu x z factor is held whole: 3.3 MB at k = 1e3 and 15 MB at k = 1e4.
-    ``panel_count`` is the product pz ps pn of the per-axis counts, each
-    capped at 700: at k = 1e4 the cap clips s for x >= 1 (754 panels asked
-    at x = 1, 897 at x = 2) and the result does not say so.
+    the nu x z factor is held whole: 1.0 MB at k = 1e3 and 4.5 MB at
+    k = 1e4.  ``panel_count`` is the product pz ps pn of the per-axis
+    counts.
     """
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
     if k <= 0:
         raise DomainError("k must be positive")
-    tail = 1e-8
-    z_max = (32.0*math.log(1.0/tail)/k)**0.25
-    nu_half = math.sqrt(2.0*math.log(1.0/tail)/k)
+    z_max = (32.0*math.log(1.0/_Z_TAIL)/k)**0.25
+    nu_half = math.sqrt(2.0*math.log(1.0/_NU_TAIL)/k)
     if nu_half >= 1.0:
         raise DomainError(
             "the oracle needs k > 2 ln(1/tail) = %.4g so that its nu-window "
             "-1 +- sqrt(2 ln(1/tail)/k) stays in nu < 0; got k = %g"
-            % (2.0*math.log(1.0/tail), k))
+            % (2.0*math.log(1.0/_NU_TAIL), k))
 
     # s-window from the stationary set s* = nu (1 + r(x, y - z)) over the
     # damped part of the z-window (admissible y - z only)
@@ -324,14 +352,15 @@ def exact_solution(x: float, y: float, t: float, k: float,
     rvals = root_r(x, 0.0, -spans)
     s_star = np.concatenate([(-1.0 - nu_half)*(1.0 + rvals),
                              (-1.0 + nu_half)*(1.0 + rvals)])
-    pad = 0.2
+    pad = max(_S_PAD_FLOOR, _S_PAD_AT_K40*(40.0/k)**0.75)
     s_lo, s_hi = float(s_star.min() - pad), float(s_star.max() + pad)
 
     rate_z, rate_s, rate_nu = _window_rates(x, y, t, k, z_max, s_lo, s_hi,
                                             nu_half)
-    zn, wzk, wzg, pz = _axis_nodes(-z_max, z_max, rate_z, k)
-    sn, wsk, wsg, ps = _axis_nodes(s_lo, s_hi, rate_s, k)
-    nn, wnk, wng, pn = _axis_nodes(-1.0 - nu_half, -1.0 + nu_half, rate_nu, k)
+    zn, wzk, wzg, pz, z_clip = _axis_nodes(-z_max, z_max, rate_z, k)
+    sn, wsk, wsg, ps, s_clip = _axis_nodes(s_lo, s_hi, rate_s, k)
+    nn, wnk, wng, pn, nu_clip = _axis_nodes(-1.0 - nu_half, -1.0 + nu_half,
+                                            rate_nu, k)
 
     # e^{ik Phi} = Pnu(nu) FZ(nu,z) K0(z,s) Q(nu,s) FS(s) by rho(z, mu, nu) =
     # rho(z, -nu, nu) + s z and e^{ik y mu} = e^{ik y s} e^{-ik y nu}; only
@@ -362,7 +391,10 @@ def exact_solution(x: float, y: float, t: float, k: float,
 
     pref = (k/(2.0*math.pi))**1.5
     value = pref*v_kkk
-    err = pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk) + abs(v_kkk - v_kkg))
-    converged = err <= tol*(1.0 + abs(value))
+    err = (pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk)
+                 + abs(v_kkk - v_kkg))
+           + math.erfc(math.sqrt(math.log(1.0/_NU_TAIL)))*abs(value))
+    clipped = z_clip or s_clip or nu_clip
+    converged = err <= tol*(1.0 + abs(value)) and not clipped
     return QuadratureResult(complex(value), float(err), z_max,
                             pz*ps*pn, bool(converged))

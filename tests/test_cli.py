@@ -128,6 +128,16 @@ class TestGrazeW:
                             "--method", "spectral")
         assert code == 0 and out.strip().endswith(",ok")
 
+    def test_clipped_spectral_row_is_non_converged(self, capsys,
+                                                    monkeypatch):
+        args = ["graze", "w", "--x", "1", "--k", "100",
+                "--method", "spectral"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0 and out.strip().endswith(",ok")
+        monkeypatch.setattr(spectral, "_AXIS_PANEL_CAP", 8)
+        code, out = run_cli(capsys, *args)
+        assert code == 2 and out.strip().endswith(",non-converged")
+
     def test_non_converged_u_row_reports_w(self, capsys):
         args = ["graze", "w", "--x", "1", "--k", "1000",
                 "--method", "u-integral"]

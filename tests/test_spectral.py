@@ -8,10 +8,11 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from grazebeam import airy, quadrature, spectral
+from grazebeam import airy, cli, quadrature, spectral
 from grazebeam.errors import DomainError
 from grazebeam.quadrature import (DampingProfile, IntegrandSpec,
                                   integrate_1d, truncation_radius)
+from grazebeam.raybeam import central_ray
 
 
 class TestZeta:
@@ -475,7 +476,9 @@ def _full_grid_oracle(x, y, t, k, axes):
     v_kkg = contract(EK, wsk, wng)
     pref = (k/(2.0*math.pi))**1.5
     value = pref*v_kkk
-    err = pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk) + abs(v_kkk - v_kkg))
+    # the nu-window truncation term: the Gaussian's share outside the window
+    err = (pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk) + abs(v_kkk - v_kkg))
+           + math.erfc(math.sqrt(math.log(1.0/spectral._NU_TAIL)))*abs(value))
     return value, err, err <= 0.02*(1.0 + abs(value))
 
 
@@ -493,10 +496,10 @@ class TestExactSolution:
         axis_nodes = spectral._axis_nodes
 
         def recorded(*args, **kwargs):
-            nodes, wk, wg, panels = axis_nodes(*args, **kwargs)
+            nodes, wk, wg, panels, clipped = axis_nodes(*args, **kwargs)
             wg = wg*gauss_scale[len(axes) % 3]
             axes.append((nodes, wk, wg))
-            return nodes, wk, wg, panels
+            return nodes, wk, wg, panels, clipped
         monkeypatch.setattr(spectral, "_axis_nodes", recorded)
         spectral.exact_solution(x, y, t, k)
         value, err, converged = _full_grid_oracle(x, y, t, k, axes[:3])
@@ -566,6 +569,58 @@ class TestExactSolution:
         assert peak <= 100e6
 
     @pytest.mark.slow
+    def test_memory_is_bounded_at_the_cli_cap(self):
+        ray = central_ray(2.0)
+        spectral.exact_solution(1.0, ray.y, ray.t, 100.0)  # warm-up
+        tracemalloc.start()
+        try:
+            res = spectral.exact_solution(1.0, ray.y, ray.t, 1e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 15 MB measured; the nu x z factor alone is 4.5 MB
+        assert res.converged
+        assert peak <= 40e6
+
+    def test_panel_cap_is_flagged(self, monkeypatch):
+        ray = central_ray(2.0)
+        asked = []
+        axis_nodes = spectral._axis_nodes
+
+        def recorded(*args):
+            out = axis_nodes(*args)
+            asked.append(out[3])
+            return out
+        monkeypatch.setattr(spectral, "_axis_nodes", recorded)
+        free = spectral.exact_solution(1.0, ray.y, ray.t, 100.0)
+        most = max(asked)
+        # an axis that asks for exactly the cap is not clipped
+        monkeypatch.setattr(spectral, "_AXIS_PANEL_CAP", most)
+        at_cap = spectral.exact_solution(1.0, ray.y, ray.t, 100.0)
+        monkeypatch.setattr(spectral, "_AXIS_PANEL_CAP", most - 1)
+        clipped = spectral.exact_solution(1.0, ray.y, ray.t, 100.0)
+        assert free.converged and at_cap == free
+        assert not clipped.converged
+        assert clipped.panel_count == math.prod(min(n, most - 1)
+                                                for n in asked[:3])
+        assert abs(clipped.value - free.value) <= 1e-6*abs(free.value)
+
+    @pytest.mark.parametrize("x, k, dy", [(0.5, 100.0, 0.0),
+                                          (1.0, 100.0, 0.1),
+                                          (0.05, 300.0, 0.0),
+                                          (1.0, 300.0, 0.0)])
+    def test_estimate_bounds_the_window_truncation(self, x, k, dy,
+                                                   monkeypatch):
+        # w_wide: nu tail 1e-16 and s-pad 1.2; the nu tail of 1e-8 moves w
+        # by 5e-10 to 1.4e-9 relative at these cells
+        ray = central_ray(2.0*math.sqrt(x))
+        res = spectral.exact_solution(x, ray.y + dy, ray.t, k)
+        monkeypatch.setattr(spectral, "_NU_TAIL", 1e-16)
+        monkeypatch.setattr(spectral, "_S_PAD_FLOOR", 1.2)
+        wide = spectral.exact_solution(x, ray.y + dy, ray.t, k)
+        assert res.error_estimate >= abs(res.value - wide.value) > 0.0
+
+    @pytest.mark.slow
     def test_concentration_on_ray(self):
         x = 0.5
         y = 2.0*math.sqrt(x)
@@ -584,3 +639,52 @@ class TestExactSolution:
         wu = u_integral(x, 1000.0).value
         assert qr.converged
         assert abs(qr.value - wu)/abs(wu) <= 0.20
+
+
+#: (x, k, dy, dt): the ray point over x, moved by (dy, dt) in (y, t)
+_REFERENCE_CELLS = [(1e-3, 40.0, 0.0, 0.0), (0.05, 40.0, 0.0, 0.0),
+                    (1.0, 40.0, 0.0, 0.0), (4.0, 100.0, 0.0, 0.0),
+                    (1e-3, 100.0, 0.1, 0.1), (1.0, 300.0, 0.1, 0.0),
+                    (0.25, 1e3, -0.05, 0.02)]
+
+
+def _written_out_reference(monkeypatch, x, y, t, k):
+    """The oracle at 1.5 cycles per panel and s-pad 1.2, with its own tails.
+
+    The panel cap is raised so that no axis is clipped: the k = 1e3 cell
+    asks for 723 s-panels.
+    """
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_CYCLES_PER_PANEL", 1.5)
+        m.setattr(spectral, "_S_PAD_FLOOR", 1.2)
+        m.setattr(spectral, "_AXIS_PANEL_CAP", 3000)
+        ref = spectral.exact_solution(x, y, t, k)
+    assert ref.converged
+    return ref.value
+
+
+class TestWrittenOutReference:
+    # 4.5 cycles per panel moves the k = 1e3 cell by 4e-8, and pad 0.2
+    # moves the k = 40 cells by up to 2e-4; 3 cycles and the k-scaled pad
+    # stay within 1e-10 (the k = 1e3 cell, padded by the floor 0.2, by
+    # 9.7e-11)
+    @pytest.mark.slow
+    @pytest.mark.parametrize("x, k, dy, dt", _REFERENCE_CELLS)
+    def test_oracle_matches_reference(self, x, k, dy, dt, monkeypatch):
+        ray = central_ray(2.0*math.sqrt(x))
+        y, t = ray.y + dy, ray.t + dt
+        ref = _written_out_reference(monkeypatch, x, y, t, k)
+        res = spectral.exact_solution(x, y, t, k)
+        assert res.converged
+        assert abs(res.value - ref) <= 1e-10*abs(ref)
+
+    def test_cli_row_at_small_k(self, monkeypatch, capsys):
+        # a pad of 0.2 puts w 2e-4 off here, yet the row reads ok
+        ray = central_ray(2.0*math.sqrt(1e-3))
+        ref = _written_out_reference(monkeypatch, 1e-3, ray.y, ray.t, 40.0)
+        code = cli.main(["graze", "w", "--x", "1e-3", "--k", "40",
+                         "--method", "spectral"])
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert code == 0 and row[-1] == "ok"
+        w = complex(float(row[3]), float(row[4]))
+        assert abs(w - ref) <= 1e-10*abs(ref)
