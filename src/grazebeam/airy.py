@@ -47,13 +47,19 @@ factor, the grazing-amplitude integrals) reduces to four ingredients:
     for -8 < q < 0 and 1.2e-13 for q <= -8 (the Stokes line again).
     0.13-0.19 us a point for q >= 0, where the AMOS ratio cost 1.2-9 us;
   - :func:`airy_ratio` (general complex z, the z-route): the series for
-    |z| >= RATIO_CROSSOVER (= 8) in the sector |arg z| <= 2 pi/3, the
-    quotient of the two ``sp.airye`` values elsewhere while |z| <= R_MAX.
+    |z| >= RATIO_CROSSOVER (= 8) in the sector |arg z| <= 2 pi/3.
     Towards the negative real axis the series fails (|arg z| < pi is its
     limit), so no point off the sector is summed.  Measured against
     mpmath for |z| in [8, 40]: 2.8e-14 relative for |arg z| <= 1.6,
-    1.2e-13 towards arg z = +-2 pi/3, and 5e-16 from |z| = 10 on.
-    0.2 us a series point, 5-9 us an AMOS one.
+    1.2e-13 towards arg z = +-2 pi/3, and 5e-16 from |z| = 10 on;
+    0.2 us a point.  Inside |z| < 8, a point within |Im q| <= 0.25 of
+    the ray (q = e^{i pi/3} z) is continued from :func:`ratio_on_ray` at
+    Re q by a Taylor series of Ai of order 16 (Ai'' = z Ai, DLMF 9.2.1):
+    2e-15 relative against mpmath over the band, 0.4 us a point.  On
+    x in [0.25, 4] at k = 1e3-1e5 every z-route point with |z| < 8 lies
+    in the band; at k <= 1e3 and x outside that range some do not.  The
+    rest is the quotient of the two ``sp.airye`` values while
+    |z| <= R_MAX, 5-9 us a point.
 
 :func:`wronskian` evaluates the constant W(z) = A(z)Ai'(z) - A'(z)Ai(z) of
 A(z) = Ai(omega*z), omega = exp(2*pi*i/3), with A'(z) = omega*Ai'(omega*z);
@@ -121,6 +127,11 @@ _SECTOR = 2.0*np.pi/3.0 + 1e-9
 
 # |scaled Ai| below this flags proximity to a zero of Ai
 _ZERO_PROXIMITY = 1e-12
+
+# |Im q| of q = e^{i pi/3} z up to which airy_ratio continues Ai'/Ai from
+# the ray by a Taylor series of Ai, and the order of that series
+_RAY_BAND = 0.25
+_RAY_TAYLOR_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -284,23 +295,55 @@ def _ratio_series(z):
     return -root*_horner(_V_COEFFS[:n + 1], s)/_horner(_U_COEFFS[:n + 1], s)
 
 
+def _ratio_near_ray(q):
+    """Ai'(z)/Ai(z) at z = e^{-i pi/3} q for complex q near the real axis.
+
+    Continues from the ray point z0 = e^{-i pi/3} Re q, where
+    :func:`ratio_on_ray` gives R0 = Ai'/Ai(z0), to z = z0 + h with
+    h = e^{-i pi/3} i Im q: P(h) = Ai(z0 + h)/Ai(z0) = sum a_n h^n has
+    a_0 = 1, a_1 = R0 and (n+1)(n+2) a_{n+2} = z0 a_n + a_{n-1}, from
+    Ai'' = z Ai (DLMF 9.2.1), and the ratio is P'(h)/P(h).
+    """
+    z0 = RAY*q.real
+    h = (RAY*1j)*q.imag
+    # summed upwards, holding three coefficients: a_{n-3}, a_{n-2}, a_{n-1}
+    # and h^{n-1} on entry to step n
+    a2, a1, a = 0.0, 1.0, ratio_on_ray(q.real)
+    p, dp, hn = 1.0 + a*h, a.copy(), h.copy()
+    for n in range(2, _RAY_TAYLOR_ORDER + 1):
+        a2, a1, a = a1, a, (z0*a1 + a2)/(n*(n - 1))
+        dp += n*a*hn
+        hn *= h
+        p += a*hn
+    return dp/p
+
+
 def airy_ratio(z):
     """Logarithmic derivative Ai'(z)/Ai(z), scalar or elementwise on arrays.
 
     Points with |z| >= RATIO_CROSSOVER and |arg z| <= 2 pi/3 are summed from
-    the differentiated asymptotic series (DLMF 9.7.5, 9.7.6); the others
-    are formed directly from AMOS, which covers |z| <= R_MAX.  Arguments
-    too close to a zero of Ai raise :class:`DomainError`; proximity is
-    measured on the exponentially scaled modulus so the test is meaningful
-    in the decaying sector as well.
+    the differentiated asymptotic series (DLMF 9.7.5, 9.7.6).  Points with
+    |z| < RATIO_CROSSOVER within |Im q| <= 0.25 of the ray z = e^{-i pi/3} q
+    are continued from it by :func:`_ratio_near_ray`; the zeros of Ai lie
+    on the negative real axis, at least 2.02 from the ray, so none of them
+    is near.  The others are formed directly from AMOS, which covers
+    |z| <= R_MAX.  Arguments too close to a zero of Ai raise
+    :class:`DomainError`; proximity is measured on the exponentially scaled
+    modulus so the test is meaningful in the decaying sector as well.
     """
     scalar = np.isscalar(z) or np.ndim(z) == 0
     zv = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty_like(zv)
-    far = (np.abs(zv) >= RATIO_CROSSOVER) & (np.abs(np.angle(zv)) <= _SECTOR)
+    inside = np.abs(zv) < RATIO_CROSSOVER
+    far = ~inside & (np.abs(np.angle(zv)) <= _SECTOR)
     if far.any():
         out[far] = _ratio_series(zv[far])
-    direct = ~far
+    # Im q of q = e^{i pi/3} z, formed without q at every point
+    near = inside & (np.abs(RAY.real*zv.imag - RAY.imag*zv.real)
+                     <= _RAY_BAND)
+    if near.any():
+        out[near] = _ratio_near_ray(np.conj(RAY)*zv[near])
+    direct = ~(far | near)
     if direct.any():
         zs = zv[direct]
         if np.abs(zs).max() > R_MAX:

@@ -66,15 +66,21 @@ def root_r(x: float, y: float, z):
     return float(r) if np.ndim(z) == 0 else r
 
 
-def _t_star(x: float, y: float, z, nu, r):
+def _t_star(x: float, y: float, z, nu):
     """T* = sign |nu|^{1/3} sqrt(1 - r^2), complex.
 
     sign = +1 for 4x > (y - z)^2 and -1 otherwise, which makes T*
     continuous with a simple zero across the grazing set; |nu|^{1/3}
-    continues through :func:`neg_power`, so nu may be complex.
+    continues through :func:`neg_power`, so nu may be complex.  Formed
+    without r, which would cancel near the set: with w = y - z,
+    1 - r^2 = (4x - w^2)^2 / (4D), D = 4x^2 + w^2 (2 - x + sqrt(4 + 4x - w^2)),
+    so sign sqrt(1 - r^2) = (4x - w^2) / (2 sqrt(D)), exactly 0 where
+    w^2 == 4x.
     """
-    sign = np.where(4.0*x > (y - z)**2, 1.0, -1.0)
-    return sign*neg_power(nu, 1.0/3.0)*np.sqrt((1.0 - r*r) + 0j)
+    w = y - z
+    w2 = w*w
+    d = 4.0*x*x + w2*(2.0 - x + np.sqrt(4.0 + 4.0*x - w2))
+    return neg_power(nu, 1.0/3.0)*((4.0*x - w2)/(2.0*np.sqrt(d)))
 
 
 def hessian_J(x: float, nu, r) -> complex:
@@ -162,7 +168,7 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
     r = root_r(x, y, z)
 
     def amp(nu):
-        T = _t_star(x, y, z, nu, r)
+        T = _t_star(x, y, z, nu)
         return ((2.0*math.pi/k)*amplitude_Z(k, x, nu*r, nu, T)
                 * (-hessian_J(x, nu, r))**-0.5)
 

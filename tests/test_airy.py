@@ -195,6 +195,42 @@ class TestRatioSeries:
         assert np.isfinite(airy.airy_ratio(60.0*np.exp(-1j*np.pi/3)))
 
 
+class TestRatioNearRay:
+    """airy_ratio within |Im q| <= 0.25 of the ray z = e^{-i pi/3} q."""
+
+    @staticmethod
+    def _band_points():
+        # q = 0, both signs of Im q up to the band's edge, and points just
+        # inside |z| = 8 on both sides of the ray; the edge is pulled in by
+        # 1e-9 so that rounding in q -> z -> q keeps it in the band
+        band = airy._RAY_BAND*(1.0 - 1e-9)
+        re = np.linspace(-7.95, 7.95, 33)
+        im = np.linspace(-band, band, 11)
+        q = (re[:, None] + 1j*im[None, :]).ravel()
+        b = np.array([band, 0.1, -0.1, -band])
+        edge = np.sqrt((8.0*(1.0 - 1e-12))**2 - b*b)
+        q = np.concatenate([q, edge + 1j*b, -edge + 1j*b])
+        z = np.exp(-1j*np.pi/3)*q
+        assert np.all(np.abs(z) < airy.RATIO_CROSSOVER)
+        return z
+
+    def test_matches_mpmath_without_amos(self, monkeypatch):
+        # measured: 2.0e-15 at q = -7.95 + 0.25i, 3e-16 median
+        def refuse(*args):
+            raise AssertionError("sp.airye called near the ray")
+        monkeypatch.setattr(airy.sp, "airye", refuse)
+        z = self._band_points()
+        got = airy.airy_ratio(z)
+        ref = np.array([_ratio_mpmath(v) for v in z])
+        assert np.all(np.abs(got - ref) <= 1e-13*np.abs(ref))
+
+    def test_outside_the_band_is_amos(self):
+        # |Im q| = 0.3: the quotient of the two AMOS values, bit for bit
+        z = np.exp(-1j*np.pi/3)*(np.linspace(-7.0, 7.0, 15) + 0.3j)
+        eai, eaip, _, _ = airye(z)
+        assert np.array_equal(airy.airy_ratio(z), eaip/eai)
+
+
 def _scaled_ai_mpmath(q):
     """Ai(z) exp((2/3) z^{3/2}) at z = e^{-i pi/3} q in 40-digit arithmetic."""
     with mp.workdps(40):
@@ -322,11 +358,17 @@ class TestRatioOnRay:
         assert np.ndim(airy.ratio_on_ray(30.0)) == 0
 
     def test_agrees_with_airy_ratio_on_the_ray(self):
-        # AMOS, which airy_ratio uses for |q| < 8, is good to ~5e-14 there
-        q = np.linspace(-40.0, 40.0, 401)
-        ref = airy.airy_ratio(np.exp(-1j*np.pi/3)*q)
-        got = airy.ratio_on_ray(q)
-        assert np.all(np.abs(got - ref) <= 1e-13*np.abs(ref))
+        # for |q| < 8 airy_ratio on the ray is ratio_on_ray itself, and
+        # beyond both sum the same series, so the reference is the quotient
+        # of the two AMOS values, written out here; AMOS is good to ~5e-14
+        # for |q| < 8 (beyond, on the Stokes line, ratio_on_ray is the
+        # better of the two: TestRatioOnRay.test_matches_mpmath)
+        q = np.linspace(-7.8, 7.8, 79)
+        z = np.exp(-1j*np.pi/3)*q
+        eai, eaip, _, _ = airye(z)
+        ref = eaip/eai
+        for got in (airy.ratio_on_ray(q), airy.airy_ratio(z)):
+            assert np.all(np.abs(got - ref) <= 1e-13*np.abs(ref))
 
     def test_real_airy_stays_below_ray_radius(self, monkeypatch):
         # scipy's real airy hands |w| > 10 to AMOS; the near branch stops

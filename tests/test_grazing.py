@@ -332,6 +332,17 @@ class TestAiryRatioKernel:
         for x, k in self.CELLS:
             assert np.isfinite(grazing.u_integral(x, k).value)
 
+    def test_z_integral_makes_no_amos_call(self, monkeypatch):
+        # on these cells every Airy point of the z-route lies in the series
+        # sector or within |Im q| <= 0.25 of the ray
+        def refuse(*args):
+            raise AssertionError("sp.airye called on the z-route")
+        monkeypatch.setattr(airy.sp, "airye", refuse)
+        for x in (0.25, 1.0, 4.0):
+            for k in (1e3, 1e4, 1e5):
+                res = grazing.z_integral(x, k)
+                assert res.converged and np.isfinite(res.value)
+
     @pytest.mark.parametrize("x,k", CELLS)
     def test_routes_match_the_previous_kernel(self, x, k, monkeypatch):
         wu = grazing.u_integral(x, k).value

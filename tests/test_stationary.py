@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ def counting_root_r(monkeypatch):
 def route_data(x, y, z, nu):
     """(r, s*, T*, J) as the z-route forms them, with s* = nu (1 + r)."""
     r = stationary.root_r(x, y, z)
-    T = stationary._t_star(x, y, z, nu, r)
+    T = stationary._t_star(x, y, z, nu)
     return r, nu*(1.0 + r), T, stationary.hessian_J(x, nu, r).real
 
 
@@ -59,15 +60,20 @@ def reduced_written_out(x, y, t, k, z):
 
     T* = sign |nu|^{1/3} sqrt(1 - r^2) (+ for 4x > (y-z)^2), J, and the
     saddle step (2 pi/k)^{1/2} amp(-1 + iC) e^{ik(B - C) - k C^2/2} of
-    amp = (2 pi/k) Z (-J)^{-1/2}, at nu = -1 + iC.
+    amp = (2 pi/k) Z (-J)^{-1/2}, at nu = -1 + iC.  sign sqrt(1 - r^2) is
+    written without r, as (4x - w^2) / (2 sqrt(D)) with w = y - z (checked
+    against 30 digits in TestTStar); formed from the rounded r it errs by
+    up to 4e-12 relative in the integrand on the grid below.
     """
     z = np.asarray(z, dtype=float)
     r = stationary.root_r(x, y, z)
     C = stationary.C_of(x, y, z, t)
     B = stationary.B_of_z(z)
     nu = -1.0 + 1j*C
+    w = y - z
+    D = 4.0*x*x + w*w*(2.0 - x + np.sqrt(4.0 + 4.0*x - w*w))
+    T = (-nu)**(1.0/3.0)*((4.0*x - w*w)/(2.0*np.sqrt(D)))
     one = np.sqrt(1.0 - r*r + 0j)
-    T = np.where(4.0*x > (y - z)**2, 1.0, -1.0)*(-nu)**(1.0/3.0)*one
     rad = x + 1.0 - r*r
     J = 4.0*(-nu)**(-2.0/3.0)*(r*r*one/np.sqrt(rad) - np.sqrt(rad)*one
                                 + 1.0 - 2.0*r*r)
@@ -117,18 +123,22 @@ class TestRootR:
     def test_closed_form_stays_in_unit_interval_on_grazing_curves(self):
         # on 4x = (y - z)^2 the closed form rounds to 2.2e-16 past -1 (z
         # below y) or +1 (z above y) unless clipped; T* at nu = -1 is then
-        # imaginary instead of real
+        # imaginary instead of real.  sqrt(1 - r^2) from the rounded r is
+        # 1.5e-8 at 458 of these points, where T* is 0
+        eps = np.finfo(float).eps
         y, xs = 2.5, np.linspace(0.1, 2.0, 2001)
         for sign in (-1.0, 1.0):
             z = y + sign*2.0*np.sqrt(xs)
             r = np.array([stationary.root_r(x, y, zi) for x, zi in zip(xs, z)])
             assert np.all(np.abs(r) <= 1.0) and np.all(np.sign(r) == sign)
-            assert np.all(np.abs(np.abs(r) - 1.0) <= np.finfo(float).eps)
-            T = np.array([stationary._t_star(x, y, zi, -1.0, ri)
-                          for x, zi, ri in zip(xs, z, r)])
-            assert np.all(T.imag == 0.0)
-            assert np.all(T[np.abs(r) == 1.0] == 0.0)
+            assert np.all(np.abs(np.abs(r) - 1.0) <= eps)
             assert np.count_nonzero(np.abs(r) == 1.0) >= 1000
+            T = np.array([stationary._t_star(x, y, zi, -1.0)
+                          for x, zi in zip(xs, z)])
+            assert np.all(T.imag == 0.0)
+            assert np.all(np.abs(T) <= 4.0*eps)
+            on = (y - z)**2 == 4.0*xs
+            assert np.all(T[on] == 0.0) and np.count_nonzero(on) >= 100
 
 
 @st.composite
@@ -197,7 +207,7 @@ class TestStationaryPoint:
         one = np.sqrt(np.maximum(1 - r*r, 0.0))
         res_s = y - z + 2*r*(np.sqrt(x + 1 - r*r) - np.sign(T.real)*one)
         assert np.all(np.abs(res_s)*one <= 1e-9*one + 1e-15)
-        loop = [stationary._t_star(x, y, zi, nu, ri) for zi, ri in zip(z, r)]
+        loop = [stationary._t_star(x, y, zi, nu) for zi in z]
         assert np.array_equal(T, loop)
 
     def test_sign_flip_and_continuity_across_grazing(self):
@@ -211,6 +221,33 @@ class TestStationaryPoint:
         assert np.abs(np.diff(Ts)).max() <= 0.6*(zs[1] - zs[0]) + 1e-9
         slope = np.polyfit(zs, Ts, 1)[0]
         assert slope == pytest.approx(0.5, rel=0.05)
+
+
+def _t_star_mpmath(x, w, nu):
+    """sign |nu|^{1/3} sqrt(1 - r^2) from the closed form of r, 30 digits."""
+    with mp.workdps(30):
+        x, w = mp.mpf(x), mp.mpf(w)
+        disc = mp.sqrt(1 + x - w*w/4)
+        r2 = (x/2 + 1 + disc)*w*w/(2*(x*x + w*w))
+        sign = 1 if 4*x > w*w else -1
+        return complex(sign*(-mp.mpc(nu))**(mp.mpf(1)/3)*mp.sqrt(1 - r2))
+
+
+class TestTStar:
+    @pytest.mark.parametrize("nu", [-1.0, -1.0 + 0.5j, -0.7 - 0.3j])
+    def test_matches_mpmath(self, nu):
+        # across the region, on both sides of and on the grazing set, where
+        # sqrt(1 - r^2) formed from the rounded r is off by up to 2e-8
+        eps = np.finfo(float).eps
+        for x in (0.05, 0.3, 1.0, 2.5, 5.0):
+            g = 2.0*math.sqrt(x)
+            w = np.concatenate([
+                np.linspace(-0.999, 0.999, 41)*math.sqrt(4.0 + 4.0*x),
+                [g, -g, g*(1.0 + 1e-9), g*(1.0 - 1e-12)]])
+            w = w[w != 0.0]
+            got = stationary._t_star(x, w, 0.0, nu)
+            ref = np.array([_t_star_mpmath(x, wi, nu) for wi in w])
+            assert np.all(np.abs(got - ref) <= 4.0*eps*abs(nu)**(1.0/3.0))
 
 
 class TestPhiSp:
