@@ -247,10 +247,12 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
 # ---------------------------------------------------------------------------
 
 def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
-    """Largest |dPhi/du| on a 9^3 grid of the box, for u = z, s and nu.
+    """Rate profiles of the exponent on a 9^3 grid of the box, for u = z, s, nu.
 
-    Phi = y mu + t nu - rho(z, mu, nu) + (quotient phase) at mu = s - nu is
-    the one exponent of the oracle's integrand; central differences.
+    For each axis returns (u, rate): its 9 sample positions and, at each,
+    the largest |dPhi/du| over the other two axes.  Phi = y mu + t nu -
+    rho(z, mu, nu) + (quotient phase) at mu = s - nu is the one exponent of
+    the oracle's integrand; central differences.
     """
     def phi(zsn):
         z, s, nu = zsn
@@ -259,16 +261,17 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
         return (y*(s - nu) + t*nu - boundary_exponent_frozen(z, s - nu, nu)
                 + (airy.ray_exponent(q0) - airy.ray_exponent(qx)).imag/k)
 
-    box = np.array(np.meshgrid(np.linspace(-z_max, z_max, 9),
-                               np.linspace(s_lo, s_hi, 9),
-                               np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9),
-                               indexing="ij"))
+    axes = (np.linspace(-z_max, z_max, 9), np.linspace(s_lo, s_hi, 9),
+            np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9))
+    box = np.array(np.meshgrid(*axes, indexing="ij"))
     h = 1e-5
-    return tuple(float(np.abs(phi(box + e) - phi(box - e)).max()/(2.0*h))
-                 for e in h*np.eye(3)[:, :, None, None, None])
+    grads = (np.abs(phi(box + e) - phi(box - e))/(2.0*h)
+             for e in h*np.eye(3)[:, :, None, None, None])
+    return tuple((u, np.moveaxis(g, a, 0).reshape(9, -1).max(axis=1))
+                 for a, (u, g) in enumerate(zip(axes, grads)))
 
 
-#: most points in a block's quotient or e^{-ikzs} (257 s-columns at k = 1e3)
+#: most points in a block's quotient or e^{-ikzs} (264 s-columns at k = 1e3)
 _QUOTIENT_BLOCK = 1 << 17
 
 #: oscillation cycles of the exponent per K15 panel, on every axis
@@ -288,16 +291,25 @@ _S_PAD_FLOOR = 0.2
 _S_PAD_AT_K40 = 0.6
 
 
-def _axis_nodes(lo, hi, rate_per_unit, k):
-    """Kronrod nodes/weights (K and G variants) tiling [lo, hi].
+def _axis_nodes(profile, k):
+    """Kronrod nodes/weights (K and G variants) on graded panels.
 
+    ``profile`` is (u, rate) from :func:`_window_rates`.  On each sample
+    interval the rate is bounded by the largest of its 4 nearest samples;
+    the panel edges invert the cumulative cycle count k/(2 pi) int bound du
+    at equal steps, so that every panel spans the same number of cycles,
+    at most _CYCLES_PER_PANEL.  A flat profile gives equal panels.
     Returns (nodes, Kronrod weights, Gauss weights, panels, clipped), where
     ``clipped`` says that the axis asked for more than _AXIS_PANEL_CAP.
     """
-    cycles = (hi - lo)*rate_per_unit*k/(2.0*math.pi)
-    asked = math.ceil(cycles/_CYCLES_PER_PANEL) + 2
+    u, rate = profile
+    near = np.arange(len(u) - 1)[:, None] + np.arange(-1, 3)
+    bound = rate[np.clip(near, 0, len(u) - 1)].max(axis=1)
+    cycles = np.concatenate(([0.0], np.cumsum(bound*np.diff(u))))
+    cycles *= k/(2.0*math.pi)
+    asked = math.ceil(cycles[-1]/_CYCLES_PER_PANEL) + 2
     n_panels = min(max(asked, 4), _AXIS_PANEL_CAP)
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.interp(np.linspace(0.0, cycles[-1], n_panels + 1), cycles, u)
     nodes, half, wk, wg = kronrod_panels(edges[:-1], edges[1:])
     return (nodes.ravel(), np.outer(half, wk).ravel(),
             np.outer(half, wg).ravel(), n_panels, asked > _AXIS_PANEL_CAP)
@@ -314,22 +326,24 @@ def exact_solution(x: float, y: float, t: float, k: float,
     (tails _Z_TAIL and _NU_TAIL); the s window covers the stationary set of
     the phase with a pad max(0.2, 0.6 (40/k)^{3/4}), outside of which the
     phase is uniformly non-stationary.  The pad widens as k falls: a fixed
-    0.2 left w 2e-4 off at (x, k) = (1e-3, 40).  Tensor-product Kronrod
-    panels, one per _CYCLES_PER_PANEL = 3 oscillation cycles, are used on
-    all three axes.  The error estimate is the sum of the per-axis
-    embedded-Gauss spreads and the nu-window truncation
+    0.2 left w 2e-4 off at (x, k) = (1e-3, 40).  Each axis is tiled with
+    K15 panels graded to the local oscillation rate (:func:`_axis_nodes`),
+    at most _CYCLES_PER_PANEL = 3 cycles each.  The error estimate is the
+    sum of the per-axis embedded-Gauss spreads and the nu-window truncation
     erfc(sqrt(ln(1/_NU_TAIL))) |value| (1.3e-9 |value|).  It is an upper
-    bound, not a measure: at 3 cycles the Gauss spreads read 1e-9 to 9e-5
-    relative where w is within 3e-13 of the value at 1.5 cycles.  If the
-    estimate exceeds ``tol`` relative, or an axis asks for more than
-    _AXIS_PANEL_CAP = 700 panels and is clipped, the result is returned
-    flagged (``converged=False``) rather than raised; at k = 1e4 the cap
-    clips s on the ray for x >~ 7.7 (719 panels asked at x = 10).  The
-    tensor rule is summed over blocks of s-columns, one
-    :func:`airy_quotient` call each (the oracle's one block loop), so only
-    the nu x z factor is held whole: 1.0 MB at k = 1e3 and 4.5 MB at
-    k = 1e4.  ``panel_count`` is the product pz ps pn of the per-axis
-    counts.
+    bound, not a measure: it reads 4e-9 to 9e-5 relative where graded
+    panels move w by at most 4.1e-12 from uniform ones.  It measures the G7
+    rule, not the returned K15 sum, so it reads larger on graded panels,
+    which are wide where the rate is low, than on uniform ones (2e-9 to
+    9e-5), yet far below ``tol``.  If the estimate exceeds ``tol``
+    relative, or an axis asks for more than _AXIS_PANEL_CAP = 700 panels
+    and is clipped, the result is returned flagged (``converged=False``)
+    rather than raised; at k = 1e4 the cap clips s on the ray for
+    x >~ 40.5 (512 panels asked at x = 10).  The tensor rule is summed over
+    blocks of s-columns, one :func:`airy_quotient` call each (the oracle's
+    one block loop), so only the nu x z factor is held whole: 0.8 MB at
+    k = 1e3 and 4.0 MB at k = 1e4.  ``panel_count`` is the product pz ps pn
+    of the per-axis counts.
     """
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
@@ -355,12 +369,11 @@ def exact_solution(x: float, y: float, t: float, k: float,
     pad = max(_S_PAD_FLOOR, _S_PAD_AT_K40*(40.0/k)**0.75)
     s_lo, s_hi = float(s_star.min() - pad), float(s_star.max() + pad)
 
-    rate_z, rate_s, rate_nu = _window_rates(x, y, t, k, z_max, s_lo, s_hi,
+    z_rate, s_rate, nu_rate = _window_rates(x, y, t, k, z_max, s_lo, s_hi,
                                             nu_half)
-    zn, wzk, wzg, pz, z_clip = _axis_nodes(-z_max, z_max, rate_z, k)
-    sn, wsk, wsg, ps, s_clip = _axis_nodes(s_lo, s_hi, rate_s, k)
-    nn, wnk, wng, pn, nu_clip = _axis_nodes(-1.0 - nu_half, -1.0 + nu_half,
-                                            rate_nu, k)
+    zn, wzk, wzg, pz, z_clip = _axis_nodes(z_rate, k)
+    sn, wsk, wsg, ps, s_clip = _axis_nodes(s_rate, k)
+    nn, wnk, wng, pn, nu_clip = _axis_nodes(nu_rate, k)
 
     # e^{ik Phi} = Pnu(nu) FZ(nu,z) K0(z,s) Q(nu,s) FS(s) by rho(z, mu, nu) =
     # rho(z, -nu, nu) + s z and e^{ik y mu} = e^{ik y s} e^{-ik y nu}; only

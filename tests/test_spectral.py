@@ -482,6 +482,24 @@ def _full_grid_oracle(x, y, t, k, axes):
     return value, err, err <= 0.02*(1.0 + abs(value))
 
 
+def _box_profiles(monkeypatch, x, y, t, k):
+    """The arguments and (u, rate) profiles of the oracle's _window_rates."""
+    seen = []
+    window_rates = spectral._window_rates
+
+    class BoxSeen(Exception):
+        pass
+
+    def recorded(*args):
+        seen.append((args, window_rates(*args)))
+        raise BoxSeen
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_window_rates", recorded)
+        with pytest.raises(BoxSeen):
+            spectral.exact_solution(x, y, t, k)
+    return seen[0]
+
+
 class TestExactSolution:
     # at k = 60 the Gauss weights of the z, s and nu axes are scaled by
     # 0.5, 0.6 and 0.7 in both routes, so that each axis's term of the error
@@ -519,23 +537,13 @@ class TestExactSolution:
                                       (0.5, 1000.0)])
     def test_window_rates_are_gradients_of_the_exponent(self, x, k,
                                                         monkeypatch):
-        # max over the oracle's 9^3 sample box of |dPhi/du|, u = z, s, nu,
-        # for the exponent written out here, mu = s - nu
+        # at each of the 9 samples of an axis, the max over the other two
+        # axes of the oracle's 9^3 box of |dPhi/du|, u = z, s, nu, for the
+        # exponent written out here, mu = s - nu
         y = 2.0*math.sqrt(x)
         t = y + y**3/12.0
-        seen = []
-        window_rates = spectral._window_rates
-
-        class BoxSeen(Exception):
-            pass
-
-        def recorded(*args):
-            seen.append((args, window_rates(*args)))
-            raise BoxSeen
-        monkeypatch.setattr(spectral, "_window_rates", recorded)
-        with pytest.raises(BoxSeen):
-            spectral.exact_solution(x, y, t, k)
-        (_, _, _, _, z_max, s_lo, s_hi, nu_half), rates = seen[0]
+        (_, _, _, _, z_max, s_lo, s_hi, nu_half), profiles = _box_profiles(
+            monkeypatch, x, y, t, k)
 
         def phi(z, s, nu):
             mu = s - nu
@@ -545,17 +553,68 @@ class TestExactSolution:
             return ((y - z)*mu + t*nu - nu*(z + z**3/12.0) - z**3/8.0
                     + 1j*(z**4/32.0 + (nu + 1.0)**2/2.0) + quotient)
 
-        box = np.meshgrid(np.linspace(-z_max, z_max, 9),
-                          np.linspace(s_lo, s_hi, 9),
-                          np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9),
-                          indexing="ij")
+        axes = (np.linspace(-z_max, z_max, 9), np.linspace(s_lo, s_hi, 9),
+                np.linspace(-1.0 - nu_half, -1.0 + nu_half, 9))
+        box = np.meshgrid(*axes, indexing="ij")
         h = 1e-6
-        for axis, rate in enumerate(rates):
+        for axis, (u, rate) in enumerate(profiles):
             step = [h if a == axis else 0.0 for a in range(3)]
             up = phi(*(b + d for b, d in zip(box, step)))
             down = phi(*(b - d for b, d in zip(box, step)))
-            want = np.abs(up - down).max()/(2.0*h)
-            assert abs(rate - want) <= 1e-6*want
+            want = np.moveaxis(np.abs(up - down), axis, 0).reshape(9, -1)
+            want = want.max(axis=1)/(2.0*h)
+            assert np.array_equal(u, axes[axis])
+            assert np.all(np.abs(rate - want) <= 1e-6*want)
+
+    @pytest.mark.parametrize("x, k, dy", [(1.0, 100.0, 0.0),
+                                          (0.05, 300.0, 0.0),
+                                          (1.0, 300.0, 0.1),
+                                          (0.25, 1000.0, -0.05),
+                                          (10.0, 1e4, 0.0)])
+    def test_graded_panels_span_at_most_the_cycles_per_panel(self, x, k, dy,
+                                                             monkeypatch):
+        # cycles of each panel under the bound of each sample interval: the
+        # largest of the samples i-1 .. i+2 of the interval [u_i, u_i+1]
+        ray = central_ray(2.0*math.sqrt(x))
+        _, profiles = _box_profiles(monkeypatch, x, ray.y + dy, ray.t, k)
+        for u, rate in profiles:
+            nodes, wk, _, panels, clipped = spectral._axis_nodes((u, rate), k)
+            mid = nodes.reshape(panels, 15)[:, 7]
+            half = wk.reshape(panels, 15).sum(axis=1)/2.0
+            edges = np.append(mid - half, mid[-1] + half[-1])
+            assert not clipped and 4 <= panels
+            assert edges[0] == pytest.approx(u[0], abs=1e-15)
+            assert edges[-1] == pytest.approx(u[-1], abs=1e-15)
+            assert np.all(np.diff(edges) > 0.0)
+            bound = [max(rate[max(i - 1, 0):i + 3]) for i in range(8)]
+            cycles = [k/(2.0*math.pi)*sum(
+                b*max(0.0, min(hi, u[i + 1]) - max(lo, u[i]))
+                for i, b in enumerate(bound))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+            assert max(cycles) <= spectral._CYCLES_PER_PANEL*(1.0 + 1e-9)
+            # the +2 margin: at least two panels more than the cycles need
+            assert sum(cycles) <= spectral._CYCLES_PER_PANEL*(panels - 2)
+
+    @pytest.mark.parametrize("lo, hi, rate, k", [(-0.7, 0.7, 3.0, 1e3),
+                                                 (-2.5, 0.4, 1.7, 300.0),
+                                                 (-1.2, -0.8, 0.5, 100.0),
+                                                 (0.0, 1.0, 1e-3, 40.0)])
+    def test_flat_profile_gives_equal_panels(self, lo, hi, rate, k):
+        # the uniform layout: linspace edges, ceil(cycles/3) + 2 panels, 4
+        # at least
+        u = np.linspace(lo, hi, 9)
+        nodes, wk, wg, panels, clipped = spectral._axis_nodes(
+            (u, np.full(9, rate)), k)
+        cycles = (hi - lo)*rate*k/(2.0*math.pi)
+        assert panels == max(math.ceil(cycles/3.0) + 2, 4) and not clipped
+        edges = np.linspace(lo, hi, panels + 1)
+        want, half, wk_want, wg_want = quadrature.kronrod_panels(edges[:-1],
+                                                                 edges[1:])
+        assert np.allclose(nodes, want.ravel(), rtol=0.0, atol=1e-15)
+        assert np.allclose(wk, np.outer(half, wk_want).ravel(), rtol=0.0,
+                           atol=1e-15)
+        assert np.allclose(wg, np.outer(half, wg_want).ravel(), rtol=0.0,
+                           atol=1e-15)
 
     def test_memory_is_bounded_at_k1000(self):
         spectral.exact_solution(1.0, 2.0, 8.0/3.0, 1e3)  # warm-up
@@ -578,7 +637,7 @@ class TestExactSolution:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 15 MB measured; the nu x z factor alone is 4.5 MB
+        # 14 MB measured; the nu x z factor alone is 4.0 MB
         assert res.converged
         assert peak <= 40e6
 
@@ -649,12 +708,20 @@ _REFERENCE_CELLS = [(1e-3, 40.0, 0.0, 0.0), (0.05, 40.0, 0.0, 0.0),
 
 
 def _written_out_reference(monkeypatch, x, y, t, k):
-    """The oracle at 1.5 cycles per panel and s-pad 1.2, with its own tails.
+    """The oracle on uniform panels, 1.5 cycles each, s-pad 1.2, own tails.
 
-    The panel cap is raised so that no axis is clipped: the k = 1e3 cell
-    asks for 723 s-panels.
+    Every axis is tiled at the largest rate of its sample box, as by the
+    oracle before graded panels, so the reference does not share the
+    grading.  The panel cap is raised so that no axis is clipped: the
+    k = 1e3 cell asks for 723 s-panels.
     """
+    window_rates = spectral._window_rates
+
+    def flat(*args):
+        return tuple((u, np.full_like(rate, rate.max()))
+                     for u, rate in window_rates(*args))
     with monkeypatch.context() as m:
+        m.setattr(spectral, "_window_rates", flat)
         m.setattr(spectral, "_CYCLES_PER_PANEL", 1.5)
         m.setattr(spectral, "_S_PAD_FLOOR", 1.2)
         m.setattr(spectral, "_AXIS_PANEL_CAP", 3000)
@@ -688,3 +755,32 @@ class TestWrittenOutReference:
         assert code == 0 and row[-1] == "ok"
         w = complex(float(row[3]), float(row[4]))
         assert abs(w - ref) <= 1e-10*abs(ref)
+
+
+#: (x, k, dy, dt, w): the oracle on uniform panels (each axis tiled at the
+#: largest rate of its sample box, 3 cycles per panel), as it read before
+#: graded panels, at the ray point over x moved by (dy, dt)
+_UNIFORM_PANEL_VALUES = [
+    (1e-3, 40.0, 0.0, 0.0, 0.9953928660582294+0.0063150822662949j),
+    (0.05, 40.0, 0.0, 0.0, 0.8506363581643922+0.05238410284649753j),
+    (1.0, 40.0, 0.05, 0.0, 0.031170637066077183+0.36876771554237064j),
+    (0.5, 100.0, 0.0, 0.0, 0.5448295104231797-0.19240027899188902j),
+    (4.0, 100.0, 0.0, 0.0, 0.2027031619537591-0.13718376910139782j),
+    (1e-3, 100.0, 0.1, 0.1, 0.9902998769720995-0.005829631909578444j),
+    (1.0, 100.0, 0.1, 0.0, -0.17194588868892896+0.011797595526347035j),
+    (2.0, 300.0, 0.0, 0.0, 0.26121183485879207-0.18840966213141272j),
+    (1.0, 300.0, 0.1, 0.0, -0.02955819484753044-0.0393203880570233j),
+    (0.05, 300.0, 0.0, 0.0, 0.7490332686054305+0.01953277939598985j),
+    (0.25, 1e3, -0.05, 0.02, 0.04004150773642751-0.02662376240431088j),
+    (1.0, 1e3, 0.0, 0.0, 0.35027005313933496-0.22397308721599682j),
+    (0.5, 1e3, 0.02, -0.01, -0.12490399420007216-0.24697183072441672j),
+]
+
+
+@pytest.mark.parametrize("x, k, dy, dt, w", _UNIFORM_PANEL_VALUES)
+def test_graded_panels_keep_the_uniform_panel_values(x, k, dy, dt, w):
+    # graded panels moved these cells by at most 4.1e-12 relative
+    ray = central_ray(2.0*math.sqrt(x))
+    res = spectral.exact_solution(x, ray.y + dy, ray.t + dt, k)
+    assert res.converged
+    assert abs(res.value - w) <= 1e-10*abs(w)

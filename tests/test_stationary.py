@@ -287,8 +287,9 @@ class TestHessian:
             x, -1.0, stationary.root_r(x, y, z)) + 4.0) for z in zs])
         assert np.all(devs/zs <= 5.0)   # |J + 4| <= C |z| with modest C
 
-    def test_matches_fd_hessian_of_phase(self):
-        x, y, z, nu, t = 1.0, 2.0, 0.15, -1.0, 0.3
+    @staticmethod
+    def fd_hessian_det(x, y, z, nu, t):
+        """J and the central-difference determinant of phase_full in (s, T)."""
         _, s_, T, J = route_data(x, y, z, nu)
         mu, T = s_ - nu, T.real
         h = 2e-5
@@ -300,7 +301,23 @@ class TestHessian:
         fTT = (f(mu, T + h) - 2*f(mu, T) + f(mu, T - h))/h**2
         fsT = (f(mu + h, T + h) - f(mu + h, T - h)
                - f(mu - h, T + h) + f(mu - h, T - h))/(4*h**2)
-        fd_det = (fss*fTT - fsT**2).real
+        return J, (fss*fTT - fsT**2).real
+
+    def test_matches_fd_hessian_of_phase(self):
+        # 4x > (y - z)^2: the near side of the grazing set
+        J, fd_det = self.fd_hessian_det(1.0, 2.0, 0.15, -1.0, 0.3)
+        assert abs(fd_det - J) <= 1e-5
+
+    # the closed form takes the unsigned sqrt(1 - r^2) where T* carries the
+    # sign; J reads -3.541 against -4.378 and -4.173 against -3.731 at the
+    # two points (the stationary point's FD gradient is below 2e-9)
+    @pytest.mark.xfail(strict=True, reason=(
+        "hessian_J uses the unsigned sqrt(1 - r^2) on the far side of the "
+        "grazing set, 4x < (y - z)^2"))
+    @pytest.mark.parametrize("x, y, z", [(0.25, 1.0, -0.15),
+                                         (2.0, 2.0*math.sqrt(2.0), -0.15)])
+    def test_matches_fd_hessian_beyond_the_grazing_set(self, x, y, z):
+        J, fd_det = self.fd_hessian_det(x, y, z, -1.0, 0.3)
         assert abs(fd_det - J) <= 1e-5
 
     def test_domain_error(self):
