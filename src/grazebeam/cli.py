@@ -1,7 +1,7 @@
 """Command-line front end: tables, amplitude sweeps and verification suites.
 
 All numerical work lives in the library modules; the commands here parse
-values, fan out over (x, k) grids, and serialize CSV/JSON.  Numbers are
+values, walk (x, k) grids in order, and serialize CSV/JSON.  Numbers are
 written with 17 significant digits so double precision round-trips, and
 output is byte-stable for identical configurations.
 
@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import grazing, raybeam, verification
 
@@ -106,16 +104,6 @@ def _emit(lines, out_path):
     return EXIT_OK
 
 
-def _map_cells(fn, cells, threads):
-    """Evaluate fn over cells, possibly in a thread pool; order preserved."""
-    # each submit that finds no idle worker starts a thread: one per CPU
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -154,22 +142,6 @@ def _cmd_beam_on_ray(args) -> int:
     return _emit(lines, args.out)
 
 
-def _graze_cell(cell):
-    x, k, method, tol = cell
-    closed = grazing.w_on_ray_closed(x)
-    if method == "closed":
-        return (x, None, method, closed, closed, 0.0, 0.0, "ok")
-    # built per call: perfbench/layers.py rebinds the routes on grazing
-    route = {"u-integral": grazing.u_integral,
-             "z-integral": grazing.z_integral,
-             "spectral": grazing.spectral_on_ray}[method]
-    res = route(x, k, max(tol, 0.02) if method == "spectral" else tol)
-    w = res.value
-    status = "ok" if res.converged else "non-converged"
-    return (x, k, method, w, closed, abs(w - closed)/abs(closed),
-            res.error_estimate, status)
-
-
 def _cmd_graze_w(args) -> int:
     xs = _parse_values(args.x)
     ks = _parse_values(args.k) if args.method != "closed" else [None]
@@ -185,17 +157,29 @@ def _cmd_graze_w(args) -> int:
     if args.threads < 1:
         raise UsageError("thread budget must be at least 1")
     _check_count(len(xs)*len(ks), "the x-k grid")
-    cells = [(x, k, args.method, args.tol) for x in xs for k in ks]
-    rows = _map_cells(_graze_cell, cells, args.threads)
+    # looked up per call: perfbench/layers.py rebinds the routes on grazing
+    route = {"closed": None,
+             "u-integral": grazing.u_integral,
+             "z-integral": grazing.z_integral,
+             "spectral": grazing.spectral_on_ray}[args.method]
+    tol = max(args.tol, 0.02) if args.method == "spectral" else args.tol
     lines = ["x,k,method,re_w,im_w,abs_w,re_closed,im_closed,rel_err,"
              "quad_err,status"]
     any_bad = False
-    for (x, k, method, w, closed, rel, qerr, status) in rows:
-        any_bad = any_bad or status != "ok"
-        lines.append(",".join(
-            [_fmt(x), _fmt(k), method, _fmt(w.real), _fmt(w.imag),
-             _fmt(abs(w)), _fmt(closed.real), _fmt(closed.imag),
-             _fmt(rel), _fmt(qerr), status]))
+    for x in xs:
+        closed = grazing.w_on_ray_closed(x)
+        for k in ks:
+            if route is None:
+                w, qerr, status = closed, 0.0, "ok"
+            else:
+                res = route(x, k, tol)
+                w, qerr = res.value, res.error_estimate
+                status = "ok" if res.converged else "non-converged"
+            any_bad = any_bad or status != "ok"
+            lines.append(",".join(
+                [_fmt(x), _fmt(k), args.method, _fmt(w.real), _fmt(w.imag),
+                 _fmt(abs(w)), _fmt(closed.real), _fmt(closed.imag),
+                 _fmt(abs(w - closed)/abs(closed)), _fmt(qerr), status]))
     code = _emit(lines, args.out)
     if code:
         return code
@@ -262,7 +246,10 @@ def _build_parser() -> _Parser:
     w.add_argument("--method", default="closed", choices=_METHODS)
     w.add_argument("--tol", type=finite, default=1e-8)
     w.add_argument("--out")
-    w.add_argument("--threads", type=int, default=1)
+    w.add_argument("--threads", type=int, default=1,
+                   help="no effect, must be at least 1: cells run in order "
+                        "on one thread; kept while the perfbench sweep ops "
+                        "pass --threads 2")
     w.set_defaults(func=_cmd_graze_w)
     refl = graze.add_parser("reflected", help="emerging-amplitude curve")
     refl.add_argument("--x", required=True)

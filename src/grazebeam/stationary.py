@@ -163,7 +163,8 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
     """
     # x + 1 - r^2 at the grazing root r = -1, its least value on the z-range
     if x + 1.0 - 1.0 <= 0.0:
-        raise DomainError("x + 1 - r^2 must be positive")
+        raise DomainError("x = %g is below the z-route's resolution: 1 + x "
+                          "does not exceed 1 in double precision" % x)
     z = np.asarray(z, dtype=float)
     r = root_r(x, y, z)
 

@@ -1,13 +1,18 @@
 """Command-line interface: parsing, CSV contracts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grazebeam
 from grazebeam import (airy, cli, quadrature, raybeam, spectral,
@@ -159,12 +164,19 @@ class TestGrazeW:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_threads_do_not_change_output(self, capsys):
-        args = ["graze", "w", "--x", "0.5,1", "--k", "1000,10000",
-                "--method", "u-integral"]
-        _, serial = run_cli(capsys, *args)
-        _, pooled = run_cli(capsys, *(args + ["--threads", "4"]))
-        assert serial == pooled
+    def test_threads_do_not_change_output(self, capsys, monkeypatch):
+        # --threads is checked but has no effect: no thread is started
+        def refuse(thread):
+            raise AssertionError("graze w started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for method in ("u-integral", "z-integral"):
+            args = ["graze", "w", "--x", "0.5,1", "--k", "1000,10000",
+                    "--method", method]
+            code, one = run_cli(capsys, *(args + ["--threads", "1"]))
+            assert code == 0 and len(one.strip().splitlines()) == 1 + 4
+            _, four = run_cli(capsys, *(args + ["--threads", "4"]))
+            assert one == four
 
     def test_nonpositive_tol_usage_error(self, capsys):
         code, _ = run_cli(capsys, "graze", "w", "--x", "1", "--k", "1000",
@@ -182,30 +194,6 @@ class TestGrazeW:
         assert code == 1 and captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error: ")
-
-    def test_thread_pool_clamped_to_cpu_count(self, capsys, monkeypatch):
-        # the fake pool maps serially, so no thread is started
-        workers = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        code, out = run_cli(capsys, "graze", "w", "--x", "0.5,1,2",
-                            "--method", "closed", "--threads", "100000")
-        assert code == 0 and len(out.strip().splitlines()) == 4
-        assert workers == [2]
 
 
 class TestGrazeReflected:
@@ -265,7 +253,7 @@ class TestInvalidInput:
         ("graze", "w", "--x", "1", "--k", "1e300", "--method", "z-integral"),
         # no truncation radius meets the z-route's tail bound
         ("graze", "w", "--x", "1", "--k", "1e-300", "--method", "z-integral"),
-        # x is lost in x + 1 - r^2 at the grazing root r = -1
+        # x is lost in 1 + x, so the z-route cannot resolve it
         ("graze", "w", "--x", "1e-300", "--k", "1000", "--method",
          "z-integral"),
         # psi overflows along the weakest direction of Im M, where
@@ -280,6 +268,16 @@ class TestInvalidInput:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_z_route_names_unresolvable_x(self, capsys):
+        # 1 + x rounds to 1: name x, not a quantity the user never gave
+        code = main(["graze", "w", "--x", "1e-300", "--k", "1000",
+                     "--method", "z-integral"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: x = 1e-300 is below the z-route's "
+                                "resolution: 1 + x does not exceed 1 in "
+                                "double precision\n")
 
     @pytest.mark.parametrize("argv", [
         ("ray", "trace", "--y", ","),
@@ -342,6 +340,68 @@ class TestInvalidInput:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0] == "usage error: thread budget must be at least 1"
+
+
+# one value as a user may type it: mostly a moderate double, else any
+# finite double (signed zeros, subnormals, the extremes of the exponent
+# range) or a non-finite word
+_MODERATE = st.floats(-8.0, 8.0)
+_VALUE = st.one_of(_MODERATE.map(repr), _MODERATE.map(repr),
+                   st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["nan", "-nan", "inf", "-inf",
+                                    "Infinity"]))
+# mostly a comma list or a consistent a:b:c range, else an empty list or
+# any a:b:c
+_LIST = st.lists(_VALUE, min_size=1, max_size=3).map(",".join)
+_RANGE = st.builds(lambda a, n, h: "%r:%r:%r" % (a, a + n*h, h), _MODERATE,
+                   st.integers(0, 5), _MODERATE.filter(bool))
+_ANY_RANGE = st.tuples(_VALUE, _VALUE, _VALUE).map(":".join)
+_VALUES = st.one_of(_LIST, _LIST, _RANGE, _RANGE,
+                    st.one_of(st.sampled_from(["", ",", " , "]), _ANY_RANGE))
+_COMMANDS = {
+    "ray trace": lambda v, k: ["ray", "trace", "--y=" + v[0]],
+    "beam on-ray": lambda v, k: ["beam", "on-ray", "--x=" + v[0]],
+    "beam field": lambda v, k: ["beam", "field", "--x=" + v[0],
+                                "--y=" + v[1], "--t=" + v[2], "--k=" + k],
+    "graze reflected": lambda v, k: ["graze", "reflected", "--x=" + v[0]],
+    "graze w closed": lambda v, k: ["graze", "w", "--x=" + v[0],
+                                    "--method", "closed"],
+}
+
+
+class TestArbitraryInput:
+    """Any typed value gives finite rows, or exit 1 and one stderr line."""
+
+    @pytest.mark.parametrize("command", _COMMANDS.values(),
+                             ids=list(_COMMANDS))
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(values=st.tuples(_VALUES, _VALUES, _VALUES),
+           k=st.one_of(st.floats(0.01, 1e3).map(repr), _VALUE))
+    def test_exit_0_with_finite_rows_or_exit_1_with_one_line(self, command,
+                                                             values, k):
+        out, err = io.StringIO(), io.StringIO()
+        # a small value budget keeps each example fast; the limit itself is
+        # tested in TestInvalidInput
+        with mock.patch.object(cli, "MAX_VALUES", 64), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(command(values, k))
+        assert code in (0, 1)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+            return
+        header, *rows = out.getvalue().splitlines()
+        names = header.split(",")
+        assert rows
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(names)
+            for name, field in zip(names, fields):
+                if name in ("method", "status") or (name == "k"
+                                                    and field == ""):
+                    continue
+                assert math.isfinite(float(field)), (name, row)
 
 
 class TestVerify:
