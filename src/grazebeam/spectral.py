@@ -9,8 +9,8 @@ u = 0 for t << 0 is
 
 with zeta = beta (1 + x - eta^2/tau^2), beta^3 = -tau^2 and the branch of
 beta fixed by boundedness in Im tau < 0.  This module provides zeta and its
-branch bookkeeping, the boundary transform fhat of the beam trace (both
-with the beam frame frozen at y = 0 and with the full frame), the
+branch bookkeeping, the exponent of the boundary transform fhat of the beam
+trace (with the beam frame frozen at y = 0 and with the full frame), the
 four-variable phase and amplitude of the oscillatory-integral form obtained
 after stretching (eta, tau) = k (mu, nu) and inverting Ai through the
 constant Wronskian, and a direct numerical evaluation of w from the
@@ -25,14 +25,13 @@ principal powers of (-nu).  :func:`neg_power` owns this rule.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import airy
 from .errors import DomainError
-from .quadrature import (DampingProfile, IntegrandSpec, QuadratureResult,
-                         integrate_1d, kronrod_panels, truncation_radius)
+# integrate_1d: read by perfbench/test_perfbench.py::test_wrappers_reach_rebound_names_and_are_removed
+from .quadrature import QuadratureResult, integrate_1d, kronrod_panels
 from .raybeam import closed_frame
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "amplitude_Z",
     "boundary_exponent_frozen",
     "boundary_exponent_full",
-    "boundary_hat_frozen",
-    "boundary_hat_full",
     "boundary_prefactor_full",
     "exact_solution",
     "neg_power",
@@ -109,8 +106,8 @@ def airy_quotient(x, mu, nu, k: float):
 def boundary_exponent_frozen(z, mu, nu):
     """Frozen-frame boundary exponent rho with (eta, tau) = k (mu, nu).
 
-    rho = nu t(z) + mu z + z^3/8 - i z^4/32 - i (nu + 1)^2 / 2, the
-    integrand of the frozen transform being e^{-i k rho}.
+    rho = nu t(z) + mu z + z^3/8 - i z^4/32 - i (nu + 1)^2 / 2, the frozen
+    transform being fhat(k mu, k nu) = (2 pi/k)^{1/2} int e^{-i k rho} dz.
     """
     z = np.asarray(z, dtype=float)
     return (nu*(z + z**3/12.0) + mu*z + z**3/8.0 - 1j*z**4/32.0
@@ -139,59 +136,6 @@ def boundary_prefactor_full(z, k: float):
     """
     _, M, a = closed_frame(np.asarray(z, dtype=float))
     return np.sqrt(2.0*np.pi/(-1j*k*M[1, 1]))*a
-
-
-def _boundary_transform(eta: float, tau: float, k: float, tol: float,
-                        damping: float, integrand) -> QuadratureResult:
-    """int integrand(z, mu, nu) dz at (mu, nu) = (eta, tau)/k.
-
-    Damped adaptive quadrature (error target tol (1 + |value|)/2) over the
-    window that e^{-damping z^4} cuts off, with the oscillation bound of
-    the beam phase over that window.
-    """
-    if k <= 0:
-        raise DomainError("k must be positive")
-    mu, nu = eta/k, tau/k
-    radius = truncation_radius(damping, 4, tol/10.0)
-    osc = abs(eta) + abs(tau)*(1.0 + radius**2/4.0) + 3.0*k*radius**2/8.0
-    spec = IntegrandSpec(lambda z: integrand(z, mu, nu),
-                         DampingProfile(damping, 4), osc)
-    return integrate_1d(spec, tol)
-
-
-def boundary_hat_frozen(eta: float, tau: float, k: float,
-                        tol: float = 1e-8) -> QuadratureResult:
-    """Transform of the beam trace with the frame frozen at its vertex value.
-
-    (2 pi / k)^{1/2} int e^{-i k rho(z)} dz with rho =
-    :func:`boundary_exponent_frozen`.  Its constant term gives the factor
-    e^{-(tau + k)^2/(2k)}, applied after the quadrature so that the
-    adaptive error target tol (1 + |value|)/2, absolute below |value| = 1,
-    acts on the bare z-integral and not on a product that reaches 1e-30 far
-    from tau = -k.  Off the stationary set of the z-phase |value| << tol,
-    and the value has no relative digits.
-    """
-    def f(z, mu, nu):
-        return np.exp(-1j*k*(boundary_exponent_frozen(z, mu, nu)
-                             - boundary_exponent_frozen(0.0, mu, nu)))
-
-    res = _boundary_transform(eta, tau, k, tol, k/32.0, f)
-    scale = math.sqrt(2.0*math.pi/k)*math.exp(-(tau + k)**2/(2.0*k))
-    return replace(res, value=scale*res.value,
-                   error_estimate=scale*res.error_estimate)
-
-
-def boundary_hat_full(eta: float, tau: float, k: float,
-                      tol: float = 1e-8) -> QuadratureResult:
-    """Boundary transform with the full y-dependent frame and amplitude.
-
-    Absolute error target, so no relative digits where |value| << tol.
-    """
-    def f(z, mu, nu):
-        return (boundary_prefactor_full(z, k)
-                * np.exp(-1j*k*boundary_exponent_full(z, mu, nu)))
-
-    return _boundary_transform(eta, tau, k, tol, 0.7*k/32.0, f)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +274,12 @@ def exact_solution(x: float, y: float, t: float, k: float,
     K15 panels graded to the local oscillation rate (:func:`_axis_nodes`),
     at most _CYCLES_PER_PANEL = 3 cycles each.  The error estimate is the
     sum of the per-axis embedded-Gauss spreads and the nu-window truncation
-    erfc(sqrt(ln(1/_NU_TAIL))) |value| (1.3e-9 |value|).  It is an upper
-    bound, not a measure: it reads 4e-9 to 9e-5 relative where graded
-    panels move w by at most 4.1e-12 from uniform ones.  It measures the G7
+    erfc(sqrt(ln(1/_NU_TAIL))) |value| (1.3e-9 |value|).  It overstates on
+    the measured on-ray cells (4e-9 to 9e-5 relative where graded panels
+    move w by at most 4.1e-12 from uniform ones) but is not a bound: it
+    reads 5.45e-6 at (x, y, t, k) = (1e-8, -0.4, -0.5, 100), where w is
+    about 1.1e-5 off and converged, and off the ray its nu term is 7x
+    short of the nu-window truncation.  It measures the G7
     rule, not the returned K15 sum, so it reads larger on graded panels,
     which are wide where the rate is low, than on uniform ones (2e-9 to
     9e-5), yet far below ``tol``.  If the estimate exceeds ``tol``

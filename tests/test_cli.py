@@ -447,8 +447,6 @@ _REFUSALS = {
     "integrate_nd-profiles": lambda: quadrature.integrate_nd(_SPEC, 1e-8),
     "beam_field-k": lambda: raybeam.beam_field(0.0, 0.0, 0.0, 0.0),
     "beam_on_ray-x": lambda: raybeam.beam_on_ray(-1.0),
-    "boundary-transform-k": lambda: spectral.boundary_hat_frozen(1.0, 1.0,
-                                                                 0.0),
     "amplitude_Z-k": lambda: spectral.amplitude_Z(0.0, 1.0, -0.5, -1.0,
                                                   0.0),
     "exact_solution-k": lambda: spectral.exact_solution(1.0, 0.0, 0.0, 0.0),
