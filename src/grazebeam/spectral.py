@@ -215,8 +215,9 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
                  for a, (u, g) in enumerate(zip(axes, grads)))
 
 
-#: most points in a block's quotient or e^{-ikzs} (264 s-columns at k = 1e3)
-_QUOTIENT_BLOCK = 1 << 17
+#: most points in a block's quotient or in each half of its [cos kzs; sin kzs]
+#: (121 s-columns at k = 1e3; of 2^14 .. 2^17 the fastest on a 2-vCPU Xeon)
+_QUOTIENT_BLOCK = 1 << 15
 
 #: oscillation cycles of the exponent per K15 panel, on every axis
 _CYCLES_PER_PANEL = 3.0
@@ -275,22 +276,24 @@ def exact_solution(x: float, y: float, t: float, k: float,
     at most _CYCLES_PER_PANEL = 3 cycles each.  The error estimate is the
     sum of the per-axis embedded-Gauss spreads and the nu-window truncation
     erfc(sqrt(ln(1/_NU_TAIL))) |value| (1.3e-9 |value|).  It overstates on
-    the measured on-ray cells (4e-9 to 9e-5 relative where graded panels
-    move w by at most 4.1e-12 from uniform ones) but is not a bound: it
-    reads 5.45e-6 at (x, y, t, k) = (1e-8, -0.4, -0.5, 100), where w is
-    about 1.1e-5 off and converged, and off the ray its nu term is 7x
-    short of the nu-window truncation.  It measures the G7
-    rule, not the returned K15 sum, so it reads larger on graded panels,
-    which are wide where the rate is low, than on uniform ones (2e-9 to
-    9e-5), yet far below ``tol``.  If the estimate exceeds ``tol``
-    relative, or an axis asks for more than _AXIS_PANEL_CAP = 700 panels
-    and is clipped, the result is returned flagged (``converged=False``)
-    rather than raised; at k = 1e4 the cap clips s on the ray for
-    x >~ 40.5 (512 panels asked at x = 10).  The tensor rule is summed over
-    blocks of s-columns, one :func:`airy_quotient` call each (the oracle's
-    one block loop), so only the nu x z factor is held whole: 0.8 MB at
-    k = 1e3 and 4.0 MB at k = 1e4.  ``panel_count`` is the product pz ps pn
-    of the per-axis counts.
+    the measured on-ray cells (7e-9 to 8e-5 relative at k = 40 to 1e3, where
+    graded panels move w by at most 4.1e-12 from uniform ones) but is not a
+    bound: it reads 5.7e-7 at (x, y, t, k) = (1e-8, -0.4, -0.5, 100), where
+    w is about 1.1e-5 off and converged, and off the ray its nu term is 7x
+    short of the nu-window truncation.  It measures the G7 rule, not the
+    returned K15 sum, so it reads larger on graded panels, which are wide
+    where the rate is low, yet far below ``tol``.  If the estimate exceeds
+    ``tol`` relative, or an axis asks for more than _AXIS_PANEL_CAP = 700
+    panels and is clipped, the result is returned flagged
+    (``converged=False``) rather than raised; at k = 1e4 the cap clips s on
+    the ray for x >~ 40.5 (512 panels asked at x = 10).  The z-phase is odd
+    and the damping even, F(nu, -z) = conj F(nu, z), so per block of
+    s-columns (one :func:`airy_quotient` call each, the oracle's one block
+    loop) the z-sum on the half axis [0, z_max] is one real product of
+    [cos kzs; sin kzs] with the (2 n_nu) x (2 n_z) factor [Re F, Im F]
+    (Kronrod over Gauss rows), the only array held whole: 0.9 MB at
+    k = 1e3, 4.1 MB at 1e4.  ``panel_count`` is the product pz ps pn, pz on
+    the half axis (6,678 at (x, k) = (1, 1e3); 12,243 on the whole axis).
     """
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
@@ -316,38 +319,40 @@ def exact_solution(x: float, y: float, t: float, k: float,
     pad = max(_S_PAD_FLOOR, _S_PAD_AT_K40*(40.0/k)**0.75)
     s_lo, s_hi = float(s_star.min() - pad), float(s_star.max() + pad)
 
-    z_rate, s_rate, nu_rate = _window_rates(x, y, t, k, z_max, s_lo, s_hi,
-                                            nu_half)
-    zn, wzk, wzg, pz, z_clip = _axis_nodes(z_rate, k)
+    (zu, z_rate), s_rate, nu_rate = _window_rates(x, y, t, k, z_max, s_lo,
+                                                  s_hi, nu_half)
+    # z on the half axis [0, z_max], under the larger rate of +-z
+    zn, wzk, wzg, pz, z_clip = _axis_nodes(
+        (zu[4:], np.maximum(z_rate[4:], z_rate[4::-1])), k)
     sn, wsk, wsg, ps, s_clip = _axis_nodes(s_rate, k)
     nn, wnk, wng, pn, nu_clip = _axis_nodes(nu_rate, k)
 
-    # e^{ik Phi} = Pnu(nu) FZ(nu,z) K0(z,s) Q(nu,s) FS(s) by rho(z, mu, nu) =
-    # rho(z, -nu, nu) + s z and e^{ik y mu} = e^{ik y s} e^{-ik y nu}; only
-    # the weighted FZ is held whole, the rest is formed per block of s-columns
-    FZ = np.exp(-1j*k*boundary_exponent_frozen(zn, -nn[:, None], nn[:, None]))
-    gauss = wzg != 0.0
-    FZG = FZ[:, gauss]*wzg[gauss]
-    FZ *= wzk
+    # e^{ik Phi} = Pnu(nu) F(nu,z) e^{-ikzs} Q(nu,s) FS(s) by rho(z, mu, nu) =
+    # rho(z, -nu, nu) + s z and e^{ik y mu} = e^{ik y s} e^{-ik y nu}
+    F = 2.0*np.exp(-1j*k*boundary_exponent_frozen(zn, -nn[:, None],
+                                                   nn[:, None]))
+    FZ = np.block([[F.real*wzk, F.imag*wzk], [F.real*wzg, F.imag*wzg]])
     FS = np.exp(1j*k*y*sn)
     wsk, wsg = wsk*FS, wsg*FS
     Pnu = np.exp(1j*k*(t - y)*nn)
     pk, pg = wnk*Pnu, wng*Pnu
 
     v_kkk = v_gkk = v_kgk = v_kkg = 0j
-    cols = max(1, _QUOTIENT_BLOCK//max(len(nn), len(zn)))
+    nz = len(zn)
+    cols = max(1, _QUOTIENT_BLOCK//max(len(nn), nz))
     for j in range(0, len(sn), cols):
         blk = slice(j, j + cols)
-        phase = np.outer(zn, sn[blk])
-        phase *= -k
-        K0 = np.cos(phase) + 1j*np.sin(phase)  # faster than complex exp
+        phase = np.outer(k*zn, sn[blk])
+        CS = np.empty((2*nz, phase.shape[1]))
+        np.cos(phase, out=CS[:nz])
+        np.sin(phase, out=CS[nz:])
         Q = airy_quotient(x, sn[blk] - nn[:, None], nn[:, None], k)
-        EK = (FZ @ K0)*Q
+        EK, EG = (FZ @ CS).reshape(2, len(nn), -1)*Q  # Kronrod, Gauss z rows
         ek, eg = pk @ EK, pg @ EK
         v_kkk += ek @ wsk[blk]
         v_kgk += ek @ wsg[blk]
         v_kkg += eg @ wsk[blk]
-        v_gkk += (pk @ ((FZG @ K0[gauss])*Q)) @ wsk[blk]
+        v_gkk += (pk @ EG) @ wsk[blk]
 
     pref = (k/(2.0*math.pi))**1.5
     value = pref*v_kkk
