@@ -81,6 +81,8 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     the relative error is about 0.54 where k = x^{3/2} and 1.32 where
     k = 1e-3 x^{3/2}, both marked converged.
     """
+    if not (math.isfinite(x) and math.isfinite(k)):
+        raise DomainError("x and k must be finite")
     if x <= 0:
         raise DomainError("x must be positive")
     if k < 10:
@@ -131,6 +133,8 @@ def _z_route(x: float, y: float, t: float, k: float, tol: float):
 
 def z_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     """The one-dimensional z-route on the ray (reduced integrand integrated)."""
+    if not (math.isfinite(x) and math.isfinite(k)):
+        raise DomainError("x and k must be finite")
     if x <= 0:
         raise DomainError("x must be positive")
     ray = central_ray(2.0*math.sqrt(x))

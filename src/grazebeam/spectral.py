@@ -215,9 +215,9 @@ def _window_rates(x, y, t, k, z_max, s_lo, s_hi, nu_half):
                  for a, (u, g) in enumerate(zip(axes, grads)))
 
 
-#: most points in a block's quotient or in each half of its [cos kzs; sin kzs]
-#: (121 s-columns at k = 1e3; of 2^14 .. 2^17 the fastest on a 2-vCPU Xeon)
-_QUOTIENT_BLOCK = 1 << 15
+#: most points in a block's nu x s quotient (218 and 156 s-columns at k = 1e3
+#: and 1e4); 2^13 .. 2^17 time alike at k <= 1e3, 2^13 is slower at 1e4
+_QUOTIENT_BLOCK = 1 << 14
 
 #: oscillation cycles of the exponent per K15 panel, on every axis
 _CYCLES_PER_PANEL = 3.0
@@ -236,23 +236,26 @@ _S_PAD_FLOOR = 0.2
 _S_PAD_AT_K40 = 0.6
 
 
-def _axis_nodes(profile, k):
+def _axis_nodes(profile, k, spare):
     """Kronrod nodes/weights (K and G variants) on graded panels.
 
     ``profile`` is (u, rate) from :func:`_window_rates`.  On each sample
     interval the rate is bounded by the largest of its 4 nearest samples;
     the panel edges invert the cumulative cycle count k/(2 pi) int bound du
     at equal steps, so that every panel spans the same number of cycles,
-    at most _CYCLES_PER_PANEL.  A flat profile gives equal panels.
-    Returns (nodes, Kronrod weights, Gauss weights, panels, clipped), where
-    ``clipped`` says that the axis asked for more than _AXIS_PANEL_CAP.
+    at most _CYCLES_PER_PANEL, on ceil(cycles/_CYCLES_PER_PANEL) + ``spare``
+    panels (4 at least; a flat profile gives equal panels).  nu takes no
+    spare; z and s keep 2, without which written-out reference cells move
+    to 9.99e-11 and 7.2e-11 of their 1e-10 bound.  Returns (nodes, Kronrod
+    weights, Gauss weights, panels, clipped); ``clipped`` says that the
+    axis asked for more than _AXIS_PANEL_CAP.
     """
     u, rate = profile
     near = np.arange(len(u) - 1)[:, None] + np.arange(-1, 3)
     bound = rate[np.clip(near, 0, len(u) - 1)].max(axis=1)
     cycles = np.concatenate(([0.0], np.cumsum(bound*np.diff(u))))
     cycles *= k/(2.0*math.pi)
-    asked = math.ceil(cycles[-1]/_CYCLES_PER_PANEL) + 2
+    asked = math.ceil(cycles[-1]/_CYCLES_PER_PANEL) + spare
     n_panels = min(max(asked, 4), _AXIS_PANEL_CAP)
     edges = np.interp(np.linspace(0.0, cycles[-1], n_panels + 1), cycles, u)
     nodes, half, wk, wg = kronrod_panels(edges[:-1], edges[1:])
@@ -291,10 +294,12 @@ def exact_solution(x: float, y: float, t: float, k: float,
     s-columns (one :func:`airy_quotient` call each, the oracle's one block
     loop) the z-sum on the half axis [0, z_max] is one real product of
     [cos kzs; sin kzs] with the (2 n_nu) x (2 n_z) factor [Re F, Im F]
-    (Kronrod over Gauss rows), the only array held whole: 0.9 MB at
-    k = 1e3, 4.1 MB at 1e4.  ``panel_count`` is the product pz ps pn, pz on
-    the half axis (6,678 at (x, k) = (1, 1e3); 12,243 on the whole axis).
+    (Kronrod over Gauss rows), the only array held whole: 0.6 MB at
+    k = 1e3, 3.2 MB at 1e4.  ``panel_count`` is the product pz ps pn, pz on
+    the half axis (4,770 at (x, k) = (1, 1e3)).
     """
+    if not all(map(math.isfinite, (x, y, t, k))):
+        raise DomainError("x, y, t and k must be finite")
     if x <= 0:
         raise DomainError("the representation is evaluated in x > 0")
     if k <= 0:
@@ -323,9 +328,9 @@ def exact_solution(x: float, y: float, t: float, k: float,
                                                   s_hi, nu_half)
     # z on the half axis [0, z_max], under the larger rate of +-z
     zn, wzk, wzg, pz, z_clip = _axis_nodes(
-        (zu[4:], np.maximum(z_rate[4:], z_rate[4::-1])), k)
-    sn, wsk, wsg, ps, s_clip = _axis_nodes(s_rate, k)
-    nn, wnk, wng, pn, nu_clip = _axis_nodes(nu_rate, k)
+        (zu[4:], np.maximum(z_rate[4:], z_rate[4::-1])), k, 2)
+    sn, wsk, wsg, ps, s_clip = _axis_nodes(s_rate, k, 2)
+    nn, wnk, wng, pn, nu_clip = _axis_nodes(nu_rate, k, 0)
 
     # e^{ik Phi} = Pnu(nu) F(nu,z) e^{-ikzs} Q(nu,s) FS(s) by rho(z, mu, nu) =
     # rho(z, -nu, nu) + s z and e^{ik y mu} = e^{ik y s} e^{-ik y nu}
@@ -339,7 +344,7 @@ def exact_solution(x: float, y: float, t: float, k: float,
 
     v_kkk = v_gkk = v_kgk = v_kkg = 0j
     nz = len(zn)
-    cols = max(1, _QUOTIENT_BLOCK//max(len(nn), nz))
+    cols = max(1, _QUOTIENT_BLOCK//len(nn))
     for j in range(0, len(sn), cols):
         blk = slice(j, j + cols)
         phase = np.outer(k*zn, sn[blk])

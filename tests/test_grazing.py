@@ -313,6 +313,17 @@ class TestResultContract:
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
             getattr(grazing, route)(1.0, 1e3, tol=tol)
 
+    @pytest.mark.parametrize("x, k", [(math.nan, 1e3), (math.inf, 1e3),
+                                      (1.0, math.nan), (1.0, math.inf),
+                                      (1.0, -math.inf)])
+    @pytest.mark.parametrize("route", ["u_integral", "z_integral",
+                                       "spectral_on_ray"])
+    def test_non_finite_input_refused(self, route, x, k):
+        # at the parent a nan or inf x or k raised a bare ValueError or
+        # OverflowError from math.ceil deep inside the route
+        with pytest.raises(DomainError, match="must be finite$"):
+            getattr(grazing, route)(x, k)
+
     def test_spectral_on_ray_is_the_oracle_at_the_ray_point(self):
         x, k = 0.5, 60.0
         ray = raybeam.central_ray(2.0*math.sqrt(x))

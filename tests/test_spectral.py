@@ -472,12 +472,21 @@ class TestExactSolution:
         uneven = next(c for c in range(7, n_s) if n_s % c)
         # one s-column per block, an uneven last block, a single block
         for cols in (1, uneven, n_s):
-            monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK",
-                                cols*max(n_nu, n_z))
+            monkeypatch.setattr(spectral, "_QUOTIENT_BLOCK", cols*n_nu)
             got = spectral.exact_solution(x, y, t, k)
             assert abs(got.value - value) <= 1e-12*abs(value)
             assert abs(got.error_estimate - err) <= 1e-12*abs(value)
             assert got.converged == converged
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["x", "y", "t", "k"])
+    def test_non_finite_input_refused(self, slot, bad):
+        # at the parent a nan raised "cannot convert float NaN to integer"
+        # from math.ceil, and an inf ran on into RuntimeWarnings
+        args = dict(x=1.0, y=2.0, t=8.0/3.0, k=100.0)
+        args[slot] = bad
+        with pytest.raises(DomainError, match="must be finite$"):
+            spectral.exact_solution(**args)
 
     @pytest.mark.parametrize("k, w", [
         (100.0, 0.39037553549259973-0.21082174933260908j),
@@ -535,8 +544,9 @@ class TestExactSolution:
         # largest of the samples i-1 .. i+2 of the interval [u_i, u_i+1]
         ray = central_ray(2.0*math.sqrt(x))
         _, profiles = _box_profiles(monkeypatch, x, ray.y + dy, ray.t, k)
-        for u, rate in profiles:
-            nodes, wk, _, panels, clipped = spectral._axis_nodes((u, rate), k)
+        for (u, rate), spare in zip(profiles, (2, 2, 0)):  # z, s, nu
+            nodes, wk, _, panels, clipped = spectral._axis_nodes((u, rate), k,
+                                                                 spare)
             mid = nodes.reshape(panels, 15)[:, 7]
             half = wk.reshape(panels, 15).sum(axis=1)/2.0
             edges = np.append(mid - half, mid[-1] + half[-1])
@@ -550,29 +560,36 @@ class TestExactSolution:
                 for i, b in enumerate(bound))
                 for lo, hi in zip(edges[:-1], edges[1:])]
             assert max(cycles) <= spectral._CYCLES_PER_PANEL*(1.0 + 1e-9)
-            # the +2 margin: at least two panels more than the cycles need
-            assert sum(cycles) <= spectral._CYCLES_PER_PANEL*(panels - 2)
+            if spare:
+                # z and s: at least two panels more than the cycles need
+                assert sum(cycles) <= spectral._CYCLES_PER_PANEL*(panels - 2)
+            else:
+                # nu: exactly the panels the cycles need, 4 at least
+                assert panels == max(
+                    math.ceil(sum(cycles)/spectral._CYCLES_PER_PANEL), 4)
 
     @pytest.mark.parametrize("lo, hi, rate, k", [(-0.7, 0.7, 3.0, 1e3),
                                                  (-2.5, 0.4, 1.7, 300.0),
                                                  (-1.2, -0.8, 0.5, 100.0),
                                                  (0.0, 1.0, 1e-3, 40.0)])
     def test_flat_profile_gives_equal_panels(self, lo, hi, rate, k):
-        # the uniform layout: linspace edges, ceil(cycles/3) + 2 panels, 4
-        # at least
+        # the uniform layout: linspace edges, ceil(cycles/3) + spare panels,
+        # 4 at least; spare is 0 on the nu axis and 2 on z and s
         u = np.linspace(lo, hi, 9)
-        nodes, wk, wg, panels, clipped = spectral._axis_nodes(
-            (u, np.full(9, rate)), k)
         cycles = (hi - lo)*rate*k/(2.0*math.pi)
-        assert panels == max(math.ceil(cycles/3.0) + 2, 4) and not clipped
-        edges = np.linspace(lo, hi, panels + 1)
-        want, half, wk_want, wg_want = quadrature.kronrod_panels(edges[:-1],
-                                                                 edges[1:])
-        assert np.allclose(nodes, want.ravel(), rtol=0.0, atol=1e-15)
-        assert np.allclose(wk, np.outer(half, wk_want).ravel(), rtol=0.0,
-                           atol=1e-15)
-        assert np.allclose(wg, np.outer(half, wg_want).ravel(), rtol=0.0,
-                           atol=1e-15)
+        for spare in (0, 2):
+            nodes, wk, wg, panels, clipped = spectral._axis_nodes(
+                (u, np.full(9, rate)), k, spare)
+            assert panels == max(math.ceil(cycles/3.0) + spare, 4)
+            assert not clipped
+            edges = np.linspace(lo, hi, panels + 1)
+            want, half, wk_want, wg_want = quadrature.kronrod_panels(
+                edges[:-1], edges[1:])
+            assert np.allclose(nodes, want.ravel(), rtol=0.0, atol=1e-15)
+            assert np.allclose(wk, np.outer(half, wk_want).ravel(), rtol=0.0,
+                               atol=1e-15)
+            assert np.allclose(wg, np.outer(half, wg_want).ravel(), rtol=0.0,
+                               atol=1e-15)
 
     def test_memory_is_bounded_at_k1000(self):
         spectral.exact_solution(1.0, 2.0, 8.0/3.0, 1e3)  # warm-up
@@ -582,7 +599,7 @@ class TestExactSolution:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 5.0 MB measured; the whole-grid contraction peaks at 275 MB on
+        # 6.0 MB measured; the whole-grid contraction peaks at 275 MB on
         # this call
         assert peak <= 100e6
 
@@ -596,7 +613,7 @@ class TestExactSolution:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 10.3 MB measured; the nu x z factor alone is 4.1 MB
+        # 12.2 MB measured; the nu x z factor alone is 3.2 MB
         assert res.converged
         assert peak <= 40e6
 
