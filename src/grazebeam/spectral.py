@@ -245,10 +245,11 @@ def _axis_nodes(profile, k, spare):
     at equal steps, so that every panel spans the same number of cycles,
     at most _CYCLES_PER_PANEL, on ceil(cycles/_CYCLES_PER_PANEL) + ``spare``
     panels (4 at least; a flat profile gives equal panels).  nu takes no
-    spare; z and s keep 2, without which written-out reference cells move
-    to 9.99e-11 and 7.2e-11 of their 1e-10 bound.  Returns (nodes, Kronrod
-    weights, Gauss weights, panels, clipped); ``clipped`` says that the
-    axis asked for more than _AXIS_PANEL_CAP.
+    spare; z and s keep 2: with none on z the written-out reference cell
+    (x, k, dy, dt) = (0.25, 1e3, -0.05, 0.02) reads 9.99e-11 of its 1e-10
+    bound, and with none on s (1e-3, 40, 0, 0) reads 7.2e-11.  Returns
+    (nodes, Kronrod weights, Gauss weights, panels, clipped); ``clipped``
+    says that the axis asked for more than _AXIS_PANEL_CAP.
     """
     u, rate = profile
     near = np.arange(len(u) - 1)[:, None] + np.arange(-1, 3)
