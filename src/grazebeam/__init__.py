@@ -19,8 +19,8 @@ grazing     the one-dimensional amplitude integrals and closed forms
 quadrature  damped-oscillatory adaptive quadrature and contour rotation
 verification  named check suites behind the ``grazebeam verify`` command
 fd          finite-difference stencils and Richardson extrapolation
-errors      exception types: DomainError (outside the domain or at a
-            degenerate point), ContourError
+errors      DomainError, the one refusal type (outside the domain, at a
+            degenerate point, or a contour along which the integrand grows)
 cli         the ``grazebeam`` command line (``ray``, ``beam``, ``graze``,
             ``verify``)
 """

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package."""
 
 
 class DomainError(ValueError):
@@ -7,9 +7,6 @@ class DomainError(ValueError):
     The library refuses every argument value with it; only the CLI's own
     parsing raises a plain ``ValueError``.  Also raised at degenerate
     points inside the region: a zero of Ai, the root at x = 0, y = z, the
-    stationary phase at y = z, and a radicand on its branch cut.
+    stationary phase at y = z, a radicand on its branch cut, and a
+    rotated contour along which the integrand grows.
     """
-
-
-class ContourError(RuntimeError):
-    """Rotated-contour integration detected growth along the ray."""

@@ -155,8 +155,8 @@ def limit_integral(x: float) -> complex:
     (c / (2 x^{1/4})) int (i u + i |u|) e^{i a(x) u^4} du
         = (c / x^{1/4}) * 2 i * quartic_moment(-i a(x)).
     """
-    if x <= 0:
-        raise DomainError("x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be finite and positive")
     b = -1j*quartic_coefficient(x)   # Re b = Im a = 1/32 > 0
     return complex(constant_c()/(2.0*x**0.25)*2j*quartic_moment(b))
 
@@ -168,8 +168,8 @@ def w_on_ray_closed(x: float) -> complex:
     imaginary part for x > 0, so the branch is continuous from the value
     1/2 at x = 0.  |w| = (1/2)(1 + x)^{-1/2} exactly.
     """
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    if not 0 <= x < math.inf:
+        raise DomainError("x must be finite and nonnegative")
     return complex(0.5*(1.0 - x + 2j*math.sqrt(x))**-0.5)
 
 
@@ -182,8 +182,8 @@ def closed_form_identity_check(x: float) -> float:
     x > 0 (the argument stays in the lower half-plane) and matches the
     simplified form at the reference point x = 1.
     """
-    if x <= 0:
-        raise DomainError("x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be finite and positive")
     root = np.sqrt(-3.0 + 3.0*x - 6j*math.sqrt(x))
     first = 3.0/(2.0*root*(airy.OMEGA - 1.0))*np.exp(1j*np.pi/3.0)
     return float(abs(first - w_on_ray_closed(x)))

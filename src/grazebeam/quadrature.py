@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from scipy.special import wrightomega
 
-from .errors import ContourError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "DampingProfile",
@@ -113,39 +114,32 @@ class QuadratureResult:
 
 def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
                       scale: float = 1.0) -> float:
-    """Radius R with scale * int_{|u|>R} exp(-a u^p) du <= tail_tol.
+    """Least radius R with scale * int_{|u|>R} exp(-a u^p) du <= tail_tol.
 
-    Uses the integration-by-parts bound
-    int_R^inf exp(-a u^p) du <= exp(-a R^p) / (p a R^(p-1)),
-    inverted by bisection.  Monotone decreasing in the coefficient.  Raises
-    :class:`DomainError` when no R up to about 1e8 meets the bound.
+    By the bound int_R^inf exp(-a u^p) du <= exp(-a R^p)/(p a R^(p-1)),
+    v = a R^p solves e^{-v} v^{-b} = e^{-L} with b = (p-1)/p and L =
+    ln(2 scale/(p tail_tol)) - (ln a)/p, so R = (b omega(L/b - ln b)/a)^{1/p}
+    by the Wright omega function (Corless and Jeffrey 2002), raised by the
+    few ulp that make the bound hold in floating point; R = 0 where v
+    underflows, as the whole integral is then below tail_tol.  Monotone
+    decreasing in the coefficient.  Raises :class:`DomainError` for a power
+    outside (2, 3, 4) and when R exceeds 1e8.
     """
-    if damping_coefficient <= 0:
+    if not 0 < damping_coefficient < math.inf:
         raise DomainError("damping coefficient must be positive")
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise DomainError("tail tolerance must be positive")
+    if power not in (2, 3, 4):
+        raise DomainError("damping power must be 2, 3 or 4")
     a, p, c = damping_coefficient, power, max(scale, 1e-300)
-
-    def tail(R):
-        return 2*c*math.exp(-a*R**p)/(p*a*R**(p - 1))
-
-    lo, hi = (tail_tol/c)**(1.0/p), 1.0
-    while tail(hi) > tail_tol:
-        if hi > 1e8:
-            raise DomainError(
-                "no truncation radius up to 1e8 meets the tail bound "
-                "(damping coefficient %.3g, power %d)" % (a, p))
-        hi *= 2
-    lo = min(lo, hi/2)
-    # each step is a function of (lo, hi): one that changes neither has
-    # reached the fixed point the remaining steps would repeat
-    for _ in range(200):
-        mid = 0.5*(lo + hi)
-        step = (mid, hi) if tail(mid) > tail_tol else (lo, mid)
-        if step == (lo, hi):
-            break
-        lo, hi = step
-    return hi
+    b, L = (p - 1)/p, math.log(2*c/p) - math.log(tail_tol) - math.log(a)/p
+    R = (b*float(wrightomega(L/b - math.log(b)))/a)**(1/p)
+    if not R <= 1e8:
+        raise DomainError("no truncation radius up to 1e8 meets the tail "
+                          "bound (coefficient %.3g, power %d)" % (a, p))
+    while R > 0 and 2*c*math.exp(-a*R**p)/(p*a*R**(p - 1)) > tail_tol:
+        R = math.nextafter(R, math.inf)
+    return R
 
 
 def kronrod_panels(lefts: np.ndarray, rights: np.ndarray):
@@ -268,7 +262,7 @@ def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,
     ``half_line=True`` only the outgoing ray is used (for integrals over
     [0, inf)).  The caller asserts analyticity in the swept sectors and
     decay along the rays; decay is spot-checked and a
-    :class:`ContourError` is raised if the tail has not died off.
+    :class:`DomainError` is raised if the tail has not died off.
     """
     R = _window(spec, tol)
     e_out = np.exp(1j*ray_angle)
@@ -285,7 +279,7 @@ def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,
     head = np.abs(along(np.linspace(0.0, 0.2*R, 16)))
     ref = max(head.max(), 1e-300)
     if probe.max() > 10.0*ref:
-        raise ContourError(
+        raise DomainError(
             "integrand grows along the rotated ray (|f(0.9R..R)| ~ %.2e vs "
             "head %.2e)" % (probe.max(), ref))
 

@@ -89,6 +89,8 @@ class BeamFrame:
 
 def central_ray(y: float) -> PhasePoint:
     """The grazing null bicharacteristic, parametrized by y."""
+    if not math.isfinite(y):
+        raise DomainError("the ray parameter y must be finite")
     return PhasePoint(y*y/4.0, y, y + y**3/12.0, y/2.0, 1.0, -1.0)
 
 
@@ -216,8 +218,8 @@ def transport_residual(y: float) -> complex:
 
 def beam_field(x: float, y: float, t: float, k: float) -> complex:
     """The beam v = a(y) exp(i k psi(x, y, t)), k > 0."""
-    if k <= 0:
-        raise DomainError("k must be positive")
+    if not (0 < k < math.inf and math.isfinite(x) and math.isfinite(t)):
+        raise DomainError("k must be positive and x, y, t, k finite")
     frame, p = beam_matrix(y), central_ray(y)
     u = np.array([x - p.x, t - p.t])
     d = math.hypot(*u)
@@ -238,6 +240,6 @@ def beam_on_ray(x: float) -> complex:
     Continuous branch with value 1 at x = 0 (the real part 1 + 4x stays
     positive, so the principal branch is the continuous one).
     """
-    if x < 0:
-        raise DomainError("x must be nonnegative")
+    if not 0 <= x < math.inf:
+        raise DomainError("x must be finite and nonnegative")
     return (1.0 + 4.0*x + 2j*x**1.5)**-0.5

@@ -277,8 +277,10 @@ def exact_solution(x: float, y: float, t: float, k: float,
     phase is uniformly non-stationary.  The pad widens as k falls: a fixed
     0.2 left w 2e-4 off at (x, k) = (1e-3, 40).  Each axis is tiled with
     K15 panels graded to the local oscillation rate (:func:`_axis_nodes`),
-    at most _CYCLES_PER_PANEL = 3 cycles each.  The error estimate is the
-    sum of the per-axis embedded-Gauss spreads and the nu-window truncation
+    at most _CYCLES_PER_PANEL = 3 cycles each.  The value is T[0,0,0] of
+    T[z rule, nu rule, s rule], the sums under each axis's Kronrod (0) or
+    embedded Gauss (1) weights; the error estimate is the sum of its spreads
+    from the three entries with one Gauss index and the nu-window truncation
     erfc(sqrt(ln(1/_NU_TAIL))) |value| (1.3e-9 |value|).  It overstates on
     the measured on-ray cells (7e-9 to 8e-5 relative at k = 40 to 1e3, where
     graded panels move w by at most 4.1e-12 from uniform ones) but is not a
@@ -296,8 +298,8 @@ def exact_solution(x: float, y: float, t: float, k: float,
     loop) the z-sum on the half axis [0, z_max] is one real product of
     [cos kzs; sin kzs] with the (2 n_nu) x (2 n_z) factor [Re F, Im F]
     (Kronrod over Gauss rows), the only array held whole: 0.6 MB at
-    k = 1e3, 3.2 MB at 1e4.  ``panel_count`` is the product pz ps pn, pz on
-    the half axis (4,770 at (x, k) = (1, 1e3)).
+    k = 1e3, 3.2 MB at 1e4; nu and s then contract into T.  ``panel_count``
+    is the product pz ps pn, pz on the half axis (4,770 at (x, k) = (1, 1e3)).
     """
     if not all(map(math.isfinite, (x, y, t, k))):
         raise DomainError("x, y, t and k must be finite")
@@ -338,12 +340,11 @@ def exact_solution(x: float, y: float, t: float, k: float,
     F = 2.0*np.exp(-1j*k*boundary_exponent_frozen(zn, -nn[:, None],
                                                    nn[:, None]))
     FZ = np.block([[F.real*wzk, F.imag*wzk], [F.real*wzg, F.imag*wzg]])
-    FS = np.exp(1j*k*y*sn)
-    wsk, wsg = wsk*FS, wsg*FS
-    Pnu = np.exp(1j*k*(t - y)*nn)
-    pk, pg = wnk*Pnu, wng*Pnu
+    WS = np.stack([wsk, wsg], axis=1)*np.exp(1j*k*y*sn)[:, None]  # FS
+    P = np.stack([wnk, wng])*np.exp(1j*k*(t - y)*nn)  # Pnu
 
-    v_kkk = v_gkk = v_kgk = v_kkg = 0j
+    # T[z rule, nu rule, s rule], rule 0 Kronrod and 1 Gauss
+    T = np.zeros((2, 2, 2), dtype=complex)
     nz = len(zn)
     cols = max(1, _QUOTIENT_BLOCK//len(nn))
     for j in range(0, len(sn), cols):
@@ -353,17 +354,12 @@ def exact_solution(x: float, y: float, t: float, k: float,
         np.cos(phase, out=CS[:nz])
         np.sin(phase, out=CS[nz:])
         Q = airy_quotient(x, sn[blk] - nn[:, None], nn[:, None], k)
-        EK, EG = (FZ @ CS).reshape(2, len(nn), -1)*Q  # Kronrod, Gauss z rows
-        ek, eg = pk @ EK, pg @ EK
-        v_kkk += ek @ wsk[blk]
-        v_kgk += ek @ wsg[blk]
-        v_kkg += eg @ wsk[blk]
-        v_gkk += (pk @ EG) @ wsk[blk]
+        T += (P @ ((FZ @ CS).reshape(2, len(nn), -1)*Q)) @ WS[blk]
 
-    pref = (k/(2.0*math.pi))**1.5
-    value = pref*v_kkk
-    err = (pref*(abs(v_kkk - v_gkk) + abs(v_kkk - v_kgk)
-                 + abs(v_kkk - v_kkg))
+    pref, v = (k/(2.0*math.pi))**1.5, T[0, 0, 0]
+    value = pref*v
+    err = (pref*(abs(v - T[1, 0, 0]) + abs(v - T[0, 0, 1])
+                 + abs(v - T[0, 1, 0]))
            + math.erfc(math.sqrt(math.log(1.0/_NU_TAIL)))*abs(value))
     clipped = z_clip or s_clip or nu_clip
     converged = err <= tol*(1.0 + abs(value)) and not clipped

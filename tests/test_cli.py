@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grazebeam
-from grazebeam import (airy, cli, quadrature, raybeam, spectral,
+from grazebeam import (airy, cli, grazing, quadrature, raybeam, spectral,
                        stationary)
 from grazebeam.cli import main
 from grazebeam.errors import DomainError
@@ -443,6 +444,7 @@ _REFUSALS = {
     "truncation-coefficient": lambda: quadrature.truncation_radius(0.0, 2,
                                                                    1e-8),
     "truncation-tail": lambda: quadrature.truncation_radius(1.0, 2, 0.0),
+    "truncation-power": lambda: quadrature.truncation_radius(1.0, 1, 1e-8),
     "integrate_1d-tol": lambda: quadrature.integrate_1d(_SPEC, 1.0),
     "integrate_nd-profiles": lambda: quadrature.integrate_nd(_SPEC, 1e-8),
     "beam_field-k": lambda: raybeam.beam_field(0.0, 0.0, 0.0, 0.0),
@@ -455,11 +457,36 @@ _REFUSALS = {
 }
 
 
+#: one call per closed form or ray function, taking one argument
+_ONE_ARGUMENT = {
+    "w_on_ray_closed": grazing.w_on_ray_closed,
+    "reflected_amplitude": grazing.reflected_amplitude,
+    "limit_integral": grazing.limit_integral,
+    "closed_form_identity_check": grazing.closed_form_identity_check,
+    "beam_on_ray": raybeam.beam_on_ray,
+    "central_ray": raybeam.central_ray,
+    "beam_field-x": lambda v: raybeam.beam_field(v, 0.0, 0.0, 10.0),
+    "beam_field-y": lambda v: raybeam.beam_field(0.0, v, 0.0, 10.0),
+    "beam_field-t": lambda v: raybeam.beam_field(0.0, 0.0, v, 10.0),
+    "beam_field-k": lambda v: raybeam.beam_field(0.0, 0.0, 0.0, v),
+}
+
+
 class TestLibraryRefusals:
     @pytest.mark.parametrize("call", _REFUSALS.values(), ids=list(_REFUSALS))
     def test_refusal_is_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", _ONE_ARGUMENT.values(),
+                             ids=list(_ONE_ARGUMENT))
+    def test_non_finite_argument_is_domain_error(self, call, bad):
+        # each of these once returned NaN, raised OverflowError or warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                call(bad)
 
     def test_cli_import_loads_no_ode_or_optimizer_module(self):
         # scipy.integrate pulls in scipy.optimize: about 25 MB and 0.2 s

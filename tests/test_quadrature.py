@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grazebeam.quadrature as quad
-from grazebeam.errors import ContourError, DomainError
+from grazebeam.errors import DomainError
 from grazebeam.quadrature import (DampingProfile, IntegrandSpec, integrate_1d,
                                   integrate_nd, rotated_ray_integral,
                                   truncation_radius)
@@ -156,6 +156,11 @@ class TestTruncationRadius:
             truncation_radius(2.5e-302, 4, 1e-10)
 
 
+def _tail(a, p, tail_tol, scale, R):
+    """The tail bound of truncation_radius, as a fraction of tail_tol."""
+    return 2*max(scale, 1e-300)*math.exp(-a*R**p)/(p*a*R**(p - 1))/tail_tol
+
+
 def _bisection_200_steps(a, p, tail_tol, scale=1.0):
     """truncation_radius as a fixed 200-step bisection."""
     c = max(scale, 1e-300)
@@ -178,15 +183,36 @@ def _bisection_200_steps(a, p, tail_tol, scale=1.0):
     return hi
 
 
-class TestTruncationRadiusEarlyStop:
+class TestTruncationRadiusClosedForm:
     @settings(max_examples=400, deadline=None, database=None)
     @given(st.floats(-3.0, 5.0), st.sampled_from([2, 3, 4]),
            st.floats(-16.0, -2.0), st.floats(-2.0, 3.0))
-    def test_bit_identical_to_full_bisection(self, log_a, p, log_tol,
-                                             log_scale):
+    def test_least_radius_meeting_the_bound(self, log_a, p, log_tol,
+                                            log_scale):
         a, tol, scale = 10.0**log_a, 10.0**log_tol, 10.0**log_scale
-        assert (truncation_radius(a, p, tol, scale)
-                == _bisection_200_steps(a, p, tol, scale))
+        R = truncation_radius(a, p, tol, scale)
+        assert _tail(a, p, tol, scale, R) <= 1.0
+        assert _tail(a, p, tol, scale, R*(1.0 - 1e-13)) > 1.0
+        # the bisection's bracket starts at this floor and returns it when
+        # the least radius lies below
+        floor = min((tol/scale)**(1.0/p), 0.5)
+        if _tail(a, p, tol, scale, floor) > 1.0:
+            bisected = _bisection_200_steps(a, p, tol, scale)
+            assert abs(R - bisected) <= 4*math.ulp(bisected)
+
+    @pytest.mark.parametrize("args, pinned", [
+        # grazing._U_WINDOW
+        ((1.0/32.0, 4, 1e-14), 5.559904759207713),
+        # z-route at (x, k) = (1, 1e3) and (1, 1e5), tol 1e-9: the radius
+        # of its oscillation bound and the integrated window (scale k^1/4)
+        ((0.8*1e3/32.0, 4, 1e-10), 0.9374478749392412),
+        ((0.8*1e3/32.0, 4, 1e-10, 1e3**0.25), 0.957034560710161),
+        ((0.8*1e5/32.0, 4, 1e-10), 0.2921032786987727),
+        ((0.8*1e5/32.0, 4, 1e-10, 1e5**0.25), 0.3026409011342801),
+    ])
+    def test_radii_of_the_routes_keep_their_bisected_values(self, args,
+                                                            pinned):
+        assert abs(truncation_radius(*args) - pinned) <= 4*math.ulp(pinned)
 
 
 class TestRotatedRay:
@@ -223,7 +249,7 @@ class TestRotatedRay:
     def test_growth_raises_contour_error(self):
         spec = IntegrandSpec(lambda w: np.exp(w.real**2 + 0j),
                              DampingProfile(0.5, 2))
-        with pytest.raises(ContourError):
+        with pytest.raises(DomainError, match="grows along the rotated ray"):
             rotated_ray_integral(spec, 0.1, 1e-8)
 
     def test_spent_budget_is_flagged(self, monkeypatch):
