@@ -13,6 +13,7 @@ verification suite, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -211,7 +212,14 @@ def _cmd_verify(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process on first use.
+
+    Reuse carries nothing from one call to the next: ``parse_args`` makes
+    a fresh Namespace each time, no argument has a mutable default, and
+    :meth:`_Parser.error` raises instead of recording state.
+    """
     p = _Parser(prog="grazebeam",
                 description="Grazing-beam numerical laboratory")
     sub = p.add_subparsers(dest="group", required=True)
@@ -264,9 +272,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -143,6 +143,8 @@ def z_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
 
 def spectral_on_ray(x: float, k: float, tol: float = 0.02) -> QuadratureResult:
     """The three-fold Airy-quotient oracle at the ray point over x."""
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
     if x <= 0:
         raise DomainError("x must be positive")
     ray = central_ray(2.0*math.sqrt(x))

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import grazebeam
 from grazebeam import (airy, cli, grazing, quadrature, raybeam, spectral,
                        stationary)
-from grazebeam.cli import main
+from grazebeam.cli import EXIT_USAGE, main
 from grazebeam.errors import DomainError
 
 
@@ -432,6 +432,50 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         code, _ = run_cli(capsys, "verify", "nonsense")
         assert code == 1
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a call leaves no state."""
+
+    CLOSED = ("graze", "w", "--x", "1")
+
+    def fresh_output(self, capsys):
+        cli._build_parser.cache_clear()
+        return run_cli(capsys, *self.CLOSED)
+
+    def test_parser_built_once(self, capsys):
+        parser = cli._build_parser()
+        for argv in (self.CLOSED, ("ray", "trace", "--y", "0"),
+                     ("verify", "closedform"), ("graze", "w", "--x", "x")):
+            main(list(argv))
+            assert cli._build_parser() is parser
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (("graze", "w", "--x", "1", "--method", "nope"), "usage error: "),
+        (("graze", "w", "--x", "0", "--method", "u-integral"), "error: "),
+        (("graze", "w", "--help"), None)],
+        ids=["usage-error", "domain-error", "help"])
+    def test_failed_call_leaves_next_call_unchanged(self, capsys, argv,
+                                                    stderr):
+        expected = self.fresh_output(capsys)
+        if stderr is None:
+            with pytest.raises(SystemExit):
+                main(list(argv))
+        else:
+            assert main(list(argv)) == EXIT_USAGE
+            assert capsys.readouterr().err.startswith(stderr)
+        capsys.readouterr()
+        assert run_cli(capsys, *self.CLOSED) == expected
+
+    def test_defaults_do_not_stick(self, capsys):
+        expected = self.fresh_output(capsys)
+        code, out = run_cli(capsys, "graze", "w", "--x", "1", "--k", "1000",
+                            "--method", "u-integral", "--tol", "1e-6")
+        assert code == 0 and ",u-integral," in out
+        code, out = run_cli(capsys, *self.CLOSED)
+        assert (code, out) == expected
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == \
+            ["closed"]
 
 
 _SPEC = quadrature.IntegrandSpec(np.exp, quadrature.DampingProfile(1.0))

@@ -320,8 +320,11 @@ class TestResultContract:
                                        "spectral_on_ray"])
     def test_non_finite_input_refused(self, route, x, k):
         # at the parent a nan or inf x or k raised a bare ValueError or
-        # OverflowError from math.ceil deep inside the route
-        with pytest.raises(DomainError, match="must be finite$"):
+        # OverflowError from math.ceil deep inside the route; the refusal
+        # names the argument that is not finite
+        bad = "x" if not math.isfinite(x) else "k"
+        with pytest.raises(DomainError, match=r"\b%s\b.*must be finite$"
+                           % bad):
             getattr(grazing, route)(x, k)
 
     def test_spectral_on_ray_is_the_oracle_at_the_ray_point(self):

@@ -564,3 +564,26 @@ class TestQuarticCoefficient:
         assert abs(d[2]/2.0) <= 1e-6
         assert abs(d[3]/6.0) <= 1e-6
         assert abs(d[4]/24.0 - 1j*stationary.quartic_coefficient(x)) <= 1e-3
+
+
+class TestArrayStencil:
+    """The stencil evaluates its integrand once on the node array; for the
+    ``verify appendix2`` integrands that is the scalar loop, bit for bit."""
+
+    @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("integrand", ["root_r", "phi_reduced",
+                                           "B_minus_C"])
+    def test_array_call_equals_scalar_loop(self, integrand, x):
+        y0 = 2.0*math.sqrt(x)
+        t0 = y0 + y0**3/12.0
+        f = {"root_r": lambda w: stationary.root_r(x, y0, w),
+             "phi_reduced": lambda w: stationary.phi_reduced(x, y0, w),
+             "B_minus_C": lambda w: (stationary.B_of_z(w)
+                                     - stationary.C_of(x, y0, w, t0)),
+             }[integrand]
+        h = min(0.03, 0.12*(2.0*math.sqrt(1.0 + x) - 2.0*math.sqrt(x)))
+        js = np.arange(-4, 5)
+        for step in (h, h/2.0):           # the two Richardson stencils
+            nodes = js*step
+            loop = np.array([f(v) for v in nodes], dtype=complex)
+            assert np.all(np.asarray(f(nodes), dtype=complex) == loop)
