@@ -4,8 +4,8 @@
 The model wave operator (1+x) d_tt - d_xx - d_yy has a null ray tangent to
 the boundary x = 0 at the origin: x(y) = y^2/4, t(y) = y + y^3/12.  This
 script tabulates the ray, checks that the symbol vanishes along it, and
-evaluates the beam frame (matrices V, W, M, determinant D, amplitude a)
-and the beam field at a few stations.
+evaluates the beam frame (matrix M, determinant D, amplitude a) and the
+beam field at a few stations.
 """
 
 import numpy as np
@@ -20,10 +20,10 @@ for y in np.linspace(-2.0, 2.0, 9):
 
 print("\nbeam frame along the ray:")
 for y in (0.0, 1.0, 2.0):
-    f = raybeam.beam_matrix(y)
-    eig = np.linalg.eigvalsh(f.M.imag).min()
+    D, M, a = raybeam.closed_frame(y)
+    eig = np.linalg.eigvalsh(M.imag).min()
     print("  y=%.1f  D=%.4f%+.4fj  a=%.4f%+.4fj  min eig Im M=%.3f"
-          % (y, f.D.real, f.D.imag, f.a.real, f.a.imag, eig))
+          % (y, D.real, D.imag, a.real, a.imag, eig))
 
 print("\nbeam field on and off the ray (k = 200):")
 k = 200.0

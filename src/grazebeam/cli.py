@@ -193,7 +193,7 @@ def _cmd_graze_reflected(args) -> int:
     for x in xs:
         v = raybeam.beam_on_ray(x)
         w = grazing.w_on_ray_closed(x)
-        d = grazing.reflected_amplitude(x)
+        d = v - w
         lines.append(",".join(_fmt(q) for q in
                               (x, abs(v), abs(w), abs(d), abs(d)/abs(v))))
     return _emit(lines, args.out)

@@ -50,6 +50,10 @@ __all__ = [
     "z_integral",
 ]
 
+#: least X = k^{2/3} x of a converged z-route result; below it the route
+#: misses the oracle by 5.9% (X = 3) to 61% (X = 0.3) at k = 1e3
+_Z_LAYER_X0 = 10.0
+
 #: window of the u-integral's damping e^{-u^4/32}, tail below 1e-14
 _U_WINDOW = truncation_radius(1.0/32.0, 4, 1e-14)
 
@@ -132,13 +136,19 @@ def _z_route(x: float, y: float, t: float, k: float, tol: float):
 
 
 def z_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
-    """The one-dimensional z-route on the ray (reduced integrand integrated)."""
+    """The one-dimensional z-route on the ray (reduced integrand integrated).
+
+    Inside the Airy layer, X = k^{2/3} x below ``_Z_LAYER_X0``, the result
+    comes back flagged ``converged=False`` whatever the quadrature did.
+    """
     if not (math.isfinite(x) and math.isfinite(k)):
         raise DomainError("x and k must be finite")
     if x <= 0:
         raise DomainError("x must be positive")
     ray = central_ray(2.0*math.sqrt(x))
-    return _z_route(x, ray.y, ray.t, k, tol)
+    res = _z_route(x, ray.y, ray.t, k, tol)
+    inside = k**(2.0/3.0)*x < _Z_LAYER_X0
+    return replace(res, converged=False) if inside else res
 
 
 def spectral_on_ray(x: float, k: float, tol: float = 0.02) -> QuadratureResult:

@@ -102,7 +102,8 @@ class QuadratureResult:
     """An integral with its error estimate, window radius and panel count.
 
     ``converged`` is False when tol was not met within ``_MAX_PANELS``
-    panels; value and error_estimate are then the best estimate and its error.
+    panels, or when a route was asked outside its regime; value and
+    error_estimate are then the best estimate and its error.
     """
 
     value: complex

@@ -78,12 +78,12 @@ class RayParams:
 
 @dataclass(frozen=True)
 class BeamFrame:
-    """Beam matrices V, W, M = W V^{-1}, D = det V and amplitude a = D^{-1/2}."""
+    """Beam matrices V, W, D = det V, M = W V^{-1} and amplitude a = D^{-1/2}."""
 
     V: np.ndarray
     W: np.ndarray
-    M: np.ndarray
     D: complex
+    M: np.ndarray
     a: complex
 
 
@@ -143,19 +143,20 @@ def _det_v_prime(y):
 
 def beam_matrix(y: float) -> BeamFrame:
     """BeamFrame at parameter y; M from the closed form, a on the branch a(0)=1."""
-    V, W = variational_matrices(y)
-    D, M, a = closed_frame(y)
-    return BeamFrame(V, W, M, D, a)
+    return BeamFrame(*variational_matrices(y), *closed_frame(y))
+
+
+def _quadratic_phase(p: PhasePoint, M: np.ndarray, x: float, t: float):
+    """psi at (x, t) from the ray point p and the matrix M at its y."""
+    dx, dt = x - p.x, t - p.t
+    return (dx*p.xi + dt*p.tau
+            + 0.5*(M[0, 0]*dx*dx + 2.0*M[0, 1]*dx*dt + M[1, 1]*dt*dt))
 
 
 def beam_phase(x: float, y: float, t: float) -> complex:
     """The beam phase psi(x, y, t)."""
-    frame = beam_matrix(y)
-    p = central_ray(y)
-    dx, dt = x - p.x, t - p.t
-    M = frame.M
-    return (dx*p.xi + dt*p.tau
-            + 0.5*(M[0, 0]*dx*dx + 2.0*M[0, 1]*dx*dt + M[1, 1]*dt*dt))
+    _, M, _ = closed_frame(y)
+    return _quadratic_phase(central_ray(y), M, x, t)
 
 
 def _m_prime(y: float, D: complex, M: np.ndarray) -> np.ndarray:
@@ -167,9 +168,9 @@ def _m_prime(y: float, D: complex, M: np.ndarray) -> np.ndarray:
 
 def psi_gradient(x: float, y: float, t: float):
     """Analytic (psi_x, psi_y, psi_t); the quadratic form is differentiated exactly."""
-    frame = beam_matrix(y)
+    D, M, _ = closed_frame(y)
     p = central_ray(y)
-    M, Mp = frame.M, _m_prime(y, frame.D, frame.M)
+    Mp = _m_prime(y, D, M)
     u = np.array([x - p.x, t - p.t], dtype=complex)
     qp = np.array([y/2.0, 1.0 + y*y/4.0])       # (x'(y), t'(y))
     pp = np.array([0.5, 0.0])                   # (xi'(y), tau'(y))
@@ -195,40 +196,44 @@ def eikonal_residual(x: float, y: float, t: float) -> complex:
     return psi_y - np.sqrt(rad)
 
 
+def _psi_yy(y: float, M: np.ndarray) -> complex:
+    """-y/4 + q'.M q' with q' = (x'(y), t'(y)), given M at y."""
+    qp = np.array([y/2.0, 1.0 + y*y/4.0])
+    return -y/4.0 + qp @ (M @ qp)
+
+
 def psi_yy_on_ray(y: float) -> complex:
     """Second y-partial of psi on the central ray: -y/4 + q'.M(y)q'."""
-    frame = beam_matrix(y)
-    qp = np.array([y/2.0, 1.0 + y*y/4.0])
-    return -y/4.0 + qp @ (frame.M @ qp)
+    return _psi_yy(y, closed_frame(y)[1])
 
 
 def transport_residual(y: float) -> complex:
-    """Residual of d/dy a + (1/2)((1+x) psi_tt - psi_xx - psi_yy)|_ray a with a = D^{-1/2}.
+    """Residual a' - (1/2)((1+x) psi_tt - psi_xx - psi_yy)|_ray a, a = D^{-1/2}.
 
-    All second derivatives are analytic: psi_xx = M11, psi_tt = M22 and
-    psi_yy from :func:`psi_yy_on_ray`.  For the closed-form frame this does
-    not vanish (it equals -i/2 at y = 0); the quantity is reported as is.
+    The O(k) term of P(a e^{ik psi}) is ik(-2a' + (box psi) a) as psi_y = 1
+    on the ray.  psi_xx = M11, psi_tt = M22 and psi_yy are analytic.  For
+    this frame the residual is +i/2 at y = 0; it is reported as is.
     """
-    frame = beam_matrix(y)
-    ap = -0.5*_det_v_prime(y)*frame.D**-1.5
+    D, M, a = closed_frame(y)
+    ap = -0.5*_det_v_prime(y)*D**-1.5
     x = y*y/4.0
-    coeff = (1.0 + x)*frame.M[1, 1] - frame.M[0, 0] - psi_yy_on_ray(y)
-    return ap + 0.5*coeff*frame.a
+    coeff = (1.0 + x)*M[1, 1] - M[0, 0] - _psi_yy(y, M)
+    return ap - 0.5*coeff*a
 
 
 def beam_field(x: float, y: float, t: float, k: float) -> complex:
     """The beam v = a(y) exp(i k psi(x, y, t)), k > 0."""
     if not (0 < k < math.inf and math.isfinite(x) and math.isfinite(t)):
         raise DomainError("k must be positive and x, y, t, k finite")
-    frame, p = beam_matrix(y), central_ray(y)
+    (_, M, a), p = closed_frame(y), central_ray(y)
     u = np.array([x - p.x, t - p.t])
     d = math.hypot(*u)
     # k Im psi = (k d^2/2) e.Im M.e with e = u/d: past 746, |v| is 0 and psi
     # itself may be NaN
-    if d > 0.0 and 0.5*k*d*d*float(u/d @ frame.M.imag @ (u/d)) > 746.0:
+    if d > 0.0 and 0.5*k*d*d*float(u/d @ M.imag @ (u/d)) > 746.0:
         return 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        v = frame.a*np.exp(1j*k*beam_phase(x, y, t))
+        v = a*np.exp(1j*k*_quadratic_phase(p, M, x, t))
     if not np.isfinite(v):
         raise OverflowError("k psi exceeds the float range")
     return v

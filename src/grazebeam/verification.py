@@ -246,16 +246,15 @@ def suite_appendix1() -> VerificationReport:
     dev_v = dev_w = dev_m = 0.0
     ys = np.linspace(-3.0, 3.0, 13)
     for yv, (Vo, Wo) in zip(ys, _variational_ode_oracle(ys)):
-        V, W = raybeam.variational_matrices(yv)
         frame = raybeam.beam_matrix(yv)
-        dev_v = max(dev_v, np.abs(V - Vo).max())
-        dev_w = max(dev_w, np.abs(W - Wo).max())
+        dev_v = max(dev_v, np.abs(frame.V - Vo).max())
+        dev_w = max(dev_w, np.abs(frame.W - Wo).max())
         dev_m = max(dev_m, np.abs(frame.M - Wo @ np.linalg.inv(Vo)).max())
     rep.add("V_closed_vs_ode", 0.0, dev_v, 1e-8)
     rep.add("W_closed_vs_ode", 0.0, dev_w, 1e-8)
     rep.add("M_closed_vs_ode", 0.0, dev_m, 1e-8)
 
-    m0 = raybeam.beam_matrix(0.0).M
+    _, m0, _ = raybeam.closed_frame(0.0)
     rep.add("M0_equals_iI", 0.0, float(np.abs(m0 - 1j*np.eye(2)).max()), 0.0)
 
     tr = max(abs(raybeam.transport_residual(v))

@@ -7,7 +7,7 @@ module tests (strict xfail markers, so any change in behavior is flagged):
 
 * criterion 2, transport clause - the closed-form beam frame solves the
   frozen-eta variational system, whose amplitude does not satisfy the
-  first-order transport identity (residual -i/2 at the vertex);
+  first-order transport identity (residual +i/2 at the vertex);
 * criterion 6, 5%-band clause - the u-integral approaches the closed form
   like k^{-1/6}, measuring 8.7-8.9% at k = 1e6; the band is reached only
   near k ~ 3e7 (demonstrated in test_grazing).
@@ -63,7 +63,7 @@ def test_criterion_02_variational_equivalence():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "first-order transport fails for the closed-form frame (residual -i/2 "
+    "first-order transport fails for the closed-form frame (residual +i/2 "
     "at the vertex); the frame solves the frozen-eta variational system, "
     "not the characteristic-flow linearization"))
 def test_criterion_02_transport_residual():

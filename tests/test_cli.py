@@ -158,6 +158,22 @@ class TestGrazeW:
         w_flagged = complex(float(flagged[3]), float(flagged[4]))
         assert abs(w_flagged - w_ok) <= 1e-9*abs(w_ok)
 
+    @pytest.mark.parametrize("x, k, code, status", [
+        # X = k^{2/3} x: 0.1 and 6 inside the Airy layer, 15 and 11.1 past
+        # X0 = 10; at x = 0.001 the parent printed |w| = 1.36 with rel_err
+        # 1.73 marked ok
+        ("0.001", "1000", 2, "non-converged"),
+        ("0.06", "1000", 2, "non-converged"),
+        ("0.15", "1000", 0, "ok"),
+        ("0.024", "10000", 0, "ok")])
+    def test_z_row_inside_airy_layer_is_non_converged(self, capsys, x, k,
+                                                      code, status):
+        got, out = run_cli(capsys, "graze", "w", "--x", x, "--k", k,
+                           "--method", "z-integral")
+        rows = out.strip().splitlines()
+        assert got == code and len(rows) == 2
+        assert rows[1].split(",")[-1] == status
+
     def test_byte_stable_output(self, capsys):
         args = ("graze", "w", "--x", "0.5,1", "--k", "1000",
                 "--method", "u-integral")

@@ -239,6 +239,32 @@ class TestZIntegral:
         assert abs(wz - wu)/abs(wu) <= 0.05
 
 
+class TestZAiryLayer:
+    """The z-route flags its rows inside the Airy layer X = k^{2/3} x < X0."""
+
+    def test_flag_only_below_x0(self, monkeypatch):
+        seen = _record_integrate_1d(monkeypatch)
+        for X, inside in ((6.0, True), (11.0, False)):
+            res = grazing.z_integral(X/1e3**(2.0/3.0), 1e3)
+            assert seen[-1].converged
+            assert res.converged is not inside
+            assert res.value == seen[-1].value
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [1e3, 1e4])
+    def test_no_ok_row_off_the_oracle(self, k):
+        # measured: 3.7% at X = 10.5, falling to 1.1% at X = 30 (k = 1e3);
+        # 4.4% to 1.9% at k = 1e4
+        for X in (10.5, 16.0, 22.0, 30.0):
+            x = X/k**(2.0/3.0)
+            oracle = grazing.spectral_on_ray(x, k)
+            assert oracle.converged
+            res = grazing.z_integral(x, k)
+            if res.converged:
+                assert abs(res.value - oracle.value) <= \
+                    0.05*abs(oracle.value), (x, k)
+
+
 # Ai'/Ai as computed before the ray kernel: AMOS below |z| = 16 and the
 # four-term differentiated expansion beyond, good to ~1.5e-9 there
 _EXPANSION = (-0.25, 5.0/32.0, -15.0/64.0, 1105.0/2048.0)

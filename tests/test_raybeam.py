@@ -5,7 +5,7 @@ frame: it solves the frozen-eta variational system exactly (the ODE
 equivalence tests), but that system is not the linearization of the
 characteristic flow of the reduced eikonal.  Consequently the eikonal
 residual keeps a quadratic transverse term and the first-order transport
-identity fails by -i/2 * a at the vertex.  The strict-xfail tests assert
+identity fails by +i/2 * a at the vertex.  The strict-xfail tests assert
 the nominal identities at their nominal tolerances; the companion tests
 pin the measured values, and an on-shell variational oracle shows that the
 characteristic-flow construction does satisfy both identities.
@@ -154,12 +154,13 @@ class TestBeamFrame:
 
     def test_imag_m_positive_definite(self):
         for y in np.linspace(-5, 5, 41):
-            eigs = np.linalg.eigvalsh(raybeam.beam_matrix(y).M.imag)
+            _, M, _ = raybeam.closed_frame(y)
+            eigs = np.linalg.eigvalsh(M.imag)
             assert eigs.min() > 0.0
 
     def test_determinant_lower_bound(self):
         for y in np.linspace(-5, 5, 21):
-            D = raybeam.beam_matrix(y).D
+            D, _, _ = raybeam.closed_frame(y)
             assert abs(D)**2 >= (1 + y*y)**2 + y**6/16.0 - 1e-12
             assert abs(D) >= 1.0
 
@@ -255,6 +256,54 @@ class TestBeamPhase:
         assert abs(pt - ft) <= 1e-8
 
 
+class TestOneFramePerCall:
+    """Each beam function reads the closed frame and the ray once."""
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _f=getattr(raybeam, name), _n=name):
+                calls[_n] += 1
+                return _f(*args)
+            monkeypatch.setattr(raybeam, name, counted)
+        return calls
+
+    def test_beam_field(self, monkeypatch):
+        # the parent built frame and ray twice, once more in beam_phase
+        calls = self._count(monkeypatch, "closed_frame", "central_ray",
+                            "beam_matrix", "variational_matrices")
+        raybeam.beam_field(0.1, 0.5, 0.6, 50.0)
+        assert calls == {"closed_frame": 1, "central_ray": 1,
+                         "beam_matrix": 0, "variational_matrices": 0}
+
+    def test_transport_residual(self, monkeypatch):
+        # the parent built the frame twice, once more in psi_yy_on_ray
+        calls = self._count(monkeypatch, "closed_frame", "beam_matrix",
+                            "variational_matrices")
+        raybeam.transport_residual(0.5)
+        assert calls == {"closed_frame": 1, "beam_matrix": 0,
+                         "variational_matrices": 0}
+
+    @pytest.mark.parametrize("name, args", [
+        ("beam_phase", (0.1, 0.5, 0.6)), ("psi_gradient", (0.1, 0.5, 0.6)),
+        ("psi_yy_on_ray", (0.5,))])
+    def test_phase_and_derivatives(self, monkeypatch, name, args):
+        call = getattr(raybeam, name)
+        calls = self._count(monkeypatch, "closed_frame", "beam_matrix",
+                            "variational_matrices")
+        call(*args)
+        assert calls == {"closed_frame": 1, "beam_matrix": 0,
+                         "variational_matrices": 0}
+
+    def test_beam_matrix_is_both_halves(self):
+        frame = raybeam.beam_matrix(0.7)
+        V, W = raybeam.variational_matrices(0.7)
+        D, M, a = raybeam.closed_frame(0.7)
+        assert np.array_equal(frame.V, V) and np.array_equal(frame.W, W)
+        assert frame.D == D and frame.a == a and np.array_equal(frame.M, M)
+
+
 class TestBeamField:
     def test_vertex_value_one(self):
         assert raybeam.beam_field(0.0, 0.0, 0.0, 123.0) == pytest.approx(1.0)
@@ -271,7 +320,7 @@ class TestBeamField:
         y = 1.0
         p = raybeam.central_ray(y)
         im = raybeam.beam_phase(p.x + 0.2, y, p.t).imag
-        a = abs(raybeam.beam_matrix(y).a)
+        a = abs(raybeam.closed_frame(y)[2])
         for k in (10.0, 100.0):
             v = abs(raybeam.beam_field(p.x + 0.2, y, p.t, k))
             assert v == pytest.approx(a*math.exp(-k*im), rel=1e-6)
@@ -403,13 +452,13 @@ class TestEikonal:
 
 class TestTransport:
     def test_measured_defect_at_vertex(self):
-        # the residual is exactly -i/2 at y = 0 for a = D^{-1/2}
-        assert raybeam.transport_residual(0.0) == pytest.approx(-0.5j, abs=1e-12)
+        # the residual is exactly +i/2 at y = 0 for a = D^{-1/2}
+        assert raybeam.transport_residual(0.0) == pytest.approx(0.5j, abs=1e-12)
 
     @pytest.mark.parametrize("y", [0.0, 2.0])
     @pytest.mark.xfail(strict=True, reason=(
         "first-order transport fails for the closed-form frame: the "
-        "residual is -i a/2 at the vertex (frozen-eta variational system)"))
+        "residual is +i a/2 at the vertex (frozen-eta variational system)"))
     def test_nominal_transport_identity(self, y):
         assert abs(raybeam.transport_residual(y)) <= 1e-8
 
@@ -418,11 +467,10 @@ class TestTransport:
         # i.e. the nominal divergence identity (= +D'/D) misses by exactly
         # psi_yy + 2 D'/D; the sharp part is (1+x) M22 - M11 = -D'/D
         y = 1.0
-        frame = raybeam.beam_matrix(y)
+        D, M, _ = raybeam.closed_frame(y)
         x = y*y/4.0
-        lhs = ((1 + x)*frame.M[1, 1] - frame.M[0, 0]
-               - raybeam.psi_yy_on_ray(y))
-        dpd = (2*y + 0.75j*y*y)/frame.D
+        lhs = (1 + x)*M[1, 1] - M[0, 0] - raybeam.psi_yy_on_ray(y)
+        dpd = (2*y + 0.75j*y*y)/D
         assert abs((lhs + raybeam.psi_yy_on_ray(y)) + dpd) <= 1e-12
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -430,11 +478,10 @@ class TestTransport:
         "see test_trace_identity_gap_is_psi_yy for the measured relation"))
     def test_nominal_trace_identity(self):
         y = 1.0
-        frame = raybeam.beam_matrix(y)
+        D, M, _ = raybeam.closed_frame(y)
         x = y*y/4.0
-        lhs = ((1 + x)*frame.M[1, 1] - frame.M[0, 0]
-               - raybeam.psi_yy_on_ray(y))
-        dpd = (2*y + 0.75j*y*y)/frame.D
+        lhs = (1 + x)*M[1, 1] - M[0, 0] - raybeam.psi_yy_on_ray(y)
+        dpd = (2*y + 0.75j*y*y)/D
         assert abs(lhs - dpd) <= 1e-8
 
     def test_onshell_oracle_satisfies_transport(self):

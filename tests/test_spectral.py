@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from grazebeam import airy, cli, quadrature, spectral
 from grazebeam.errors import DomainError
 from grazebeam.quadrature import DampingProfile, IntegrandSpec, integrate_1d
-from grazebeam.raybeam import beam_field, beam_matrix, central_ray
+from grazebeam.raybeam import beam_field, central_ray, closed_frame
 
 
 class TestZeta:
@@ -185,7 +185,7 @@ def frozen_trace(y, t, k):
     frozen at its vertex value M(0); amplitude a(0) = 1.
     """
     p = central_ray(y)
-    M = beam_matrix(0.0).M
+    _, M, _ = closed_frame(0.0)
     dx, dt = -p.x, t - p.t
     return np.exp(1j*k*(dx*p.xi + dt*p.tau
                         + 0.5*(M[0, 0]*dx*dx + 2.0*M[0, 1]*dx*dt
