@@ -64,7 +64,8 @@ def _parse_values(text: str):
             if len(parts) != 3:
                 raise ValueError("range needs start:stop:step")
             start, stop, step = (finite(p) for p in parts)
-            if step == 0 or (stop - start)*step < 0:
+            # a quotient: the product of two tiny reals underflows to -0.0
+            if step == 0 or (stop - start)/step < 0:
                 raise ValueError("inconsistent range direction")
             # min() keeps a span that overflowed to inf countable
             n = int(math.floor(min((stop - start)/step + 1e-9,

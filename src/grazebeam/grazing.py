@@ -97,7 +97,7 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
 
     def f(u):
         bracket = 0.5j*u - k112*airy.OMEGA*airy.ratio_on_ray((u*u/4.0)*k16)
-        return bracket*np.exp(1j*a*u**4)
+        return bracket*np.exp(1j*a*((u*u)*(u*u)))
 
     osc = 4.0*abs(a)*_U_WINDOW**3 + 1.0
     spec = IntegrandSpec(

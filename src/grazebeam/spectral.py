@@ -49,8 +49,12 @@ __all__ = [
 
 
 def neg_power(nu, alpha: float):
-    """|nu|^alpha for real nu < 0, continued as (-nu)^alpha (principal) off axis."""
-    return np.asarray(-nu, dtype=complex)**alpha if np.ndim(nu) else (-nu + 0j)**alpha
+    """|nu|^alpha for real nu < 0, continued as (-nu)^alpha (principal) off axis.
+
+    Arrays take the same branch in polar form, |nu|^alpha e^{i alpha arg(-nu)}.
+    """
+    return (np.abs(nu)**alpha*np.exp(1j*alpha*np.angle(-np.asarray(nu)))
+            if np.ndim(nu) else (-nu + 0j)**alpha)
 
 
 def zeta(x: float, eta: float, tau: float) -> complex:
@@ -292,7 +296,9 @@ def exact_solution(x: float, y: float, t: float, k: float,
     ``tol`` relative, or an axis asks for more than _AXIS_PANEL_CAP = 700
     panels and is clipped, the result is returned flagged
     (``converged=False``) rather than raised; at k = 1e4 the cap clips s on
-    the ray for x >~ 40.5 (512 panels asked at x = 10).  The z-phase is odd
+    the ray for x >~ 40.5 (512 panels asked at x = 10) and for X = k^{2/3} x
+    near 20 (701-709 asked at x = 0.0416-0.0440, with estimates near 1.8e-7;
+    698 at X = 19, 638 at X = 21).  The z-phase is odd
     and the damping even, F(nu, -z) = conj F(nu, z), so per block of
     s-columns (one :func:`airy_quotient` call each, the oracle's one block
     loop) the z-sum on the half axis [0, z_max] is one real product of

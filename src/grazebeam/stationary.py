@@ -89,21 +89,24 @@ def hessian_J(x: float, nu, r) -> complex:
     J = 4 |nu|^{-2/3} [ (x + 1 - r^2)^{-1/2} r^2 (1 - r^2)^{1/2}
         - (x + 1 - r^2)^{1/2} (1 - r^2)^{1/2} + (1 - r^2) - r^2 ];
     J = -4 |nu|^{-2/3} at the grazing value r = -1, and J < 0 nearby.
-    Complex: r and nu may be continued off the real axis.
+    Complex: r and nu may be continued off the real axis; a real r in
+    [-1, 1], where every :func:`root_r` root lies, takes real arithmetic.
     """
-    r = np.asarray(r, dtype=complex)
-    rad = x + 1.0 - r**2
+    real = np.isrealobj(r) and np.all(np.abs(r) <= 1.0)
+    r = np.asarray(r, dtype=float if real else complex)
+    r2 = r*r
+    rad = x + 1.0 - r2
     if np.any(np.real(rad) <= 0):
         raise DomainError("x + 1 - r^2 must be positive")
-    one = np.sqrt(1.0 - r**2)
-    bracket = rad**-0.5*r**2*one - np.sqrt(rad)*one + (1.0 - r**2) - r**2
+    one, root = np.sqrt(1.0 - r2), np.sqrt(rad)
+    bracket = r2*one/root - root*one + (1.0 - r2) - r2
     return 4.0*neg_power(nu, -2.0/3.0)*bracket
 
 
 def B_of_z(z):
     """B(z) = -z^3/8 + i z^4/32."""
     z = np.asarray(z, dtype=float)
-    out = -z**3/8.0 + 1j*z**4/32.0
+    out = -z*z*z/8.0 + 1j*((z*z)*(z*z))/32.0
     return complex(out) if np.ndim(z) == 0 else out
 
 
@@ -118,7 +121,7 @@ def _stationary_sum(x: float, y: float, z: np.ndarray, r=None):
         raise DomainError("stationary phase undefined at y = z")
     if r is None:
         r = root_r(x, y, z)
-    return r*yz + yz**3/(48.0*r**3) + r*x*x/yz
+    return r*yz + yz*yz*yz/(48.0*r*r*r) + r*x*x/yz
 
 
 def C_of(x: float, y: float, z, t: float, r=None):
@@ -129,7 +132,7 @@ def C_of(x: float, y: float, z, t: float, r=None):
     the caller has already solved for it.
     """
     z = np.asarray(z, dtype=float)
-    out = t - z - z**3/12.0 + _stationary_sum(x, y, z, r)
+    out = t - z - z*z*z/12.0 + _stationary_sum(x, y, z, r)
     return float(out) if np.ndim(z) == 0 else out
 
 

@@ -346,6 +346,19 @@ class TestInvalidInput:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("text", [
+        "2.418046051320605e-143:0.0:8.729999373493236e-188",
+        "8.391976502947857e-240:0.0:8.391976502947857e-240"])
+    def test_backward_range_of_tiny_values_rejected(self, capsys, text):
+        # (stop - start)*step underflows to -0.0 here, which once passed
+        # as a consistent direction and printed a header with no rows
+        code = main(["graze", "w", "--x=" + text, "--method", "closed"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("usage error: cannot parse values %r: "
+                                "inconsistent range direction\n" % text)
+
     @pytest.mark.parametrize("flag", ["0", "-1"], ids=["0-None", "-1-None"])
     def test_thread_budget_below_one_rejected(self, capsys, flag):
         argv = ["graze", "w", "--x", "1", "--method", "closed",

@@ -239,6 +239,44 @@ class TestZIntegral:
         assert abs(wz - wu)/abs(wu) <= 0.05
 
 
+#: (x, k, w, panels) of the z-route and the u-route as computed with libm
+#: powers (z**3, z**4, u**4, complex (-nu)**alpha); the product forms move
+#: z by at most 1.4e-12 relative and u by 4e-16, both through rounding
+_Z_ROUTE_VALUES = [
+    (0.25, 1e3, 0.5903914237286143-0.1386572648311343j, 244),
+    (0.25, 1e4, 0.5245523908792478-0.16374509672466853j, 624),
+    (0.25, 1e5, 0.4818662449140933-0.17752024227629276j, 1902),
+    (1.0, 1e3, 0.3481675863995142-0.2258407827915782j, 212),
+    (1.0, 1e4, 0.3185542168748604-0.23320331019670415j, 619),
+    (1.0, 1e5, 0.29735550464480737-0.23828095840575053j, 1897),
+    (4.0, 1e3, 0.16722434204323444-0.16407441682098803j, 698),
+    (4.0, 1e4, 0.14892662422750091-0.17686776395448428j, 624),
+    (4.0, 1e5, 0.1344126296839147-0.18516703869717924j, 1902),
+]
+_U_ROUTE_VALUES = [
+    (0.05, 1e3, 0.6434902992252163-0.07507215920779209j, 58),
+    (0.05, 1e6, 0.5365283640875153-0.0930888632208477j, 59),
+    (4.0, 1e3, 0.16267925219522933-0.1947620329852545j, 32),
+    (4.0, 1e6, 0.12159783797855914-0.19641631157788156j, 32),
+]
+
+
+class TestRouteValuesPinned:
+    """A slipped formula moves these far beyond 1e-11; rounding does not."""
+
+    @pytest.mark.parametrize("x, k, w, panels", _Z_ROUTE_VALUES)
+    def test_z_integral(self, x, k, w, panels):
+        res = grazing.z_integral(x, k)
+        assert res.converged and res.panel_count == panels
+        assert abs(res.value - w) <= 1e-11*abs(w)
+
+    @pytest.mark.parametrize("x, k, w, panels", _U_ROUTE_VALUES)
+    def test_u_integral(self, x, k, w, panels):
+        res = grazing.u_integral(x, k)
+        assert res.converged and res.panel_count == panels
+        assert abs(res.value - w) <= 1e-11*abs(w)
+
+
 class TestZAiryLayer:
     """The z-route flags its rows inside the Airy layer X = k^{2/3} x < X0."""
 

@@ -79,6 +79,33 @@ class TestZeta:
                 assert abs(got - want) <= 10.0*eps*want
         assert abs(spectral.neg_power(nu + 0j, alpha) - want) <= 1e-15*want
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0),
+           st.sampled_from([1.0/3.0, 2.0/3.0, -2.0/3.0, -0.5]))
+    def test_polar_form_is_the_principal_power(self, a, b, alpha):
+        # Re(-nu) = a, Im nu = b, and both signed zeros of Im nu
+        for nu in (complex(-a, b), complex(-a, 0.0), complex(-a, -0.0)):
+            want = (-nu + 0j)**alpha
+            for got in (spectral.neg_power(nu, alpha),
+                        spectral.neg_power(np.array([nu, nu]), alpha)):
+                assert np.all(np.abs(got - want) <= 1e-15*abs(want))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [-2.0/3.0, -0.5])
+    def test_pole_at_nu_zero_is_not_finite(self, alpha):
+        with pytest.raises(ZeroDivisionError):
+            spectral.neg_power(0.0, alpha)
+        for nu in (np.zeros(2), np.zeros(2, dtype=complex)):
+            with pytest.raises(RuntimeWarning):
+                spectral.neg_power(nu, alpha)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1.0/3.0, 2.0/3.0])
+    def test_zero_at_nu_zero(self, alpha):
+        assert spectral.neg_power(0.0, alpha) == 0.0
+        assert np.all(spectral.neg_power(np.zeros(2, dtype=complex),
+                                         alpha) == 0.0)
+
     def test_tau_zero_raises(self):
         with pytest.raises(DomainError):
             spectral.zeta(0.1, 1.0, 0.0)

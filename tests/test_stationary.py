@@ -324,6 +324,30 @@ class TestHessian:
         with pytest.raises(DomainError):
             stationary.hessian_J(-2.0, -1.0, -1.0)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.05, 4.0), st.booleans(), st.floats(0.0, 1.0),
+           st.one_of(st.floats(-2.0, -0.05),
+                     st.floats(-2.0, 2.0).map(lambda c: complex(-1.0, c))))
+    def test_real_root_equals_complex_root(self, x, far, frac, nu):
+        # the root_r root on the near (4x > (y - z)^2) or far side of the
+        # grazing set, nu real or at the saddle -1 + iC: the real path
+        # agrees with the complex one
+        sx, edge = math.sqrt(x), 2.0*math.sqrt(1.0 + x)*(1.0 - 1e-9)
+        w = 2.0*sx + frac*(edge - 2.0*sx) if far else max(frac, 1e-6)*2.0*sx
+        r = stationary.root_r(x, w, 0.0)
+        assert -1.0 <= r <= 1.0
+        for rr, nn in ((r, nu), (np.array([r, -1.0, 1.0]), np.full(3, nu))):
+            want = stationary.hessian_J(x, nn, np.asarray(rr) + 0j)
+            got = stationary.hessian_J(x, nn, rr)
+            assert np.all(np.abs(got - want) <= 1e-14*np.abs(want))
+
+    def test_real_root_beyond_unit_interval_takes_complex_path(self):
+        # sqrt(1 - r^2) is imaginary there; a real path would give NaN
+        for r in (1.5, np.array([0.5, -1.5])):
+            got = stationary.hessian_J(2.0, -1.0, r)
+            want = stationary.hessian_J(2.0, -1.0, np.asarray(r) + 0j)
+            assert np.all(np.isfinite(got)) and np.all(got == want)
+
 
 class TestBandC:
     def test_values_on_ray(self):
