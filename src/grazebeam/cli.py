@@ -1,7 +1,8 @@
 """Command-line front end: tables, amplitude sweeps and verification suites.
 
-All numerical work lives in the library modules; the commands here parse
-values, walk (x, k) grids in order, and serialize CSV/JSON.  Numbers are
+All numerical work, and every rule on the numbers a route accepts, lives
+in the library; the commands here parse values, walk (x, k) grids in
+order, and serialize CSV/JSON, each table through ``_table``.  Numbers are
 written with 17 significant digits so double precision round-trips, and
 output is byte-stable for identical configurations.
 
@@ -22,7 +23,6 @@ from . import grazing, raybeam, verification
 
 __all__ = ["main"]
 
-_SPECTRAL_K_CAP = 1e4
 _METHODS = ("closed", "u-integral", "z-integral", "spectral")
 
 #: most values one list, or cells one grid command, may hold
@@ -87,9 +87,14 @@ def _check_count(n: int, what: str):
 
 
 def _fmt(v) -> str:
+    """One CSV field: None empty, text as is, a number to 17 digits."""
     if v is None:
         return ""
-    return "%.17g" % v
+    return v if isinstance(v, str) else "%.17g" % v
+
+
+def _parts(v) -> tuple:
+    return v.real, v.imag, abs(v)
 
 
 def _emit(lines, out_path):
@@ -106,42 +111,35 @@ def _emit(lines, out_path):
     return EXIT_OK
 
 
+def _table(args, header: str, rows) -> int:
+    """Write the CSV table of ``rows`` under ``header`` to --out or stdout."""
+    return _emit([header] + [",".join(map(_fmt, row)) for row in rows],
+                 args.out)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _cmd_ray_trace(args) -> int:
-    ys = _parse_values(args.y)
-    lines = ["y,x,t,xi,eta,tau,hamiltonian"]
-    for y in ys:
-        p = raybeam.central_ray(y)
-        lines.append(",".join(_fmt(v) for v in
-                              (p.y, p.x, p.t, p.xi, p.eta, p.tau,
-                               raybeam.hamiltonian(p))))
-    return _emit(lines, args.out)
+    rows = ((p.y, p.x, p.t, p.xi, p.eta, p.tau, raybeam.hamiltonian(p))
+            for p in map(raybeam.central_ray, _parse_values(args.y)))
+    return _table(args, "y,x,t,xi,eta,tau,hamiltonian", rows)
 
 
 def _cmd_beam_field(args) -> int:
     xs, ys, ts = (_parse_values(a) for a in (args.x, args.y, args.t))
     _check_count(len(xs)*len(ys)*len(ts), "the x-y-t grid")
     k = float(args.k)
-    lines = ["x,y,t,k,re_v,im_v,abs_v"]
-    for x in xs:
-        for y in ys:
-            for t in ts:
-                v = raybeam.beam_field(x, y, t, k)
-                lines.append(",".join(_fmt(q) for q in
-                                      (x, y, t, k, v.real, v.imag, abs(v))))
-    return _emit(lines, args.out)
+    rows = ((x, y, t, k, *_parts(raybeam.beam_field(x, y, t, k)))
+            for x in xs for y in ys for t in ts)
+    return _table(args, "x,y,t,k,re_v,im_v,abs_v", rows)
 
 
 def _cmd_beam_on_ray(args) -> int:
-    xs = _parse_values(args.x)
-    lines = ["x,re_v,im_v,abs_v"]
-    for x in xs:
-        v = raybeam.beam_on_ray(x)
-        lines.append(",".join(_fmt(q) for q in (x, v.real, v.imag, abs(v))))
-    return _emit(lines, args.out)
+    rows = ((x, *_parts(raybeam.beam_on_ray(x)))
+            for x in _parse_values(args.x))
+    return _table(args, "x,re_v,im_v,abs_v", rows)
 
 
 def _cmd_graze_w(args) -> int:
@@ -149,13 +147,6 @@ def _cmd_graze_w(args) -> int:
     ks = _parse_values(args.k) if args.method != "closed" else [None]
     if not 0 < args.tol < 1:
         raise UsageError("tol must lie in (0, 1)")
-    if any(k is not None and k <= 0 for k in ks):
-        raise UsageError("k values must be positive")
-    if args.method == "spectral" and any(k > _SPECTRAL_K_CAP for k in ks):
-        raise UsageError(
-            "spectral method refused for k > %g: the three-fold "
-            "quadrature budget grows too fast; use u-integral or "
-            "z-integral instead" % _SPECTRAL_K_CAP)
     if args.threads < 1:
         raise UsageError("thread budget must be at least 1")
     _check_count(len(xs)*len(ks), "the x-k grid")
@@ -164,54 +155,56 @@ def _cmd_graze_w(args) -> int:
              "u-integral": grazing.u_integral,
              "z-integral": grazing.z_integral,
              "spectral": grazing.spectral_on_ray}[args.method]
-    tol = max(args.tol, 0.02) if args.method == "spectral" else args.tol
-    lines = ["x,k,method,re_w,im_w,abs_w,re_closed,im_closed,rel_err,"
-             "quad_err,status"]
-    any_bad = False
+    rows = []
     for x in xs:
         closed = grazing.w_on_ray_closed(x)
         for k in ks:
             if route is None:
-                w, qerr, status = closed, 0.0, "ok"
+                w, qerr, ok = closed, 0.0, True
             else:
-                res = route(x, k, tol)
-                w, qerr = res.value, res.error_estimate
-                status = "ok" if res.converged else "non-converged"
-            any_bad = any_bad or status != "ok"
-            lines.append(",".join(
-                [_fmt(x), _fmt(k), args.method, _fmt(w.real), _fmt(w.imag),
-                 _fmt(abs(w)), _fmt(closed.real), _fmt(closed.imag),
-                 _fmt(abs(w - closed)/abs(closed)), _fmt(qerr), status]))
-    code = _emit(lines, args.out)
-    if code:
-        return code
-    return EXIT_NUMERICAL if any_bad else EXIT_OK
+                res = route(x, k, args.tol)
+                w, qerr, ok = res.value, res.error_estimate, res.converged
+            rows.append((x, k, args.method, *_parts(w), closed.real,
+                         closed.imag, abs(w - closed)/abs(closed), qerr,
+                         "ok" if ok else "non-converged"))
+    code = _table(args, "x,k,method,re_w,im_w,abs_w,re_closed,im_closed,"
+                        "rel_err,quad_err,status", rows)
+    return code or (EXIT_OK if all(r[-1] == "ok" for r in rows)
+                    else EXIT_NUMERICAL)
 
 
 def _cmd_graze_reflected(args) -> int:
-    xs = _parse_values(args.x)
-    lines = ["x,abs_v,abs_w,abs_v_minus_w,ratio"]
-    for x in xs:
-        v = raybeam.beam_on_ray(x)
-        w = grazing.w_on_ray_closed(x)
-        d = v - w
-        lines.append(",".join(_fmt(q) for q in
-                              (x, abs(v), abs(w), abs(d), abs(d)/abs(v))))
-    return _emit(lines, args.out)
+    def row(x):
+        v, w = raybeam.beam_on_ray(x), grazing.w_on_ray_closed(x)
+        return x, abs(v), abs(w), abs(v - w), abs(v - w)/abs(v)
+    return _table(args, "x,abs_v,abs_w,abs_v_minus_w,ratio",
+                  map(row, _parse_values(args.x)))
 
 
 def _cmd_verify(args) -> int:
     report = verification.run_suite(args.suite)
-    payload = json.dumps(report.to_dict(), indent=2)
-    code = _emit([payload], args.out)
-    if code:
-        return code
-    return EXIT_OK if report.overall else EXIT_NUMERICAL
+    code = _emit([json.dumps(report.to_dict(), indent=2)], args.out)
+    return code or (EXIT_OK if report.overall else EXIT_NUMERICAL)
 
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
+
+def _command(group, name: str, help: str, func, *options):
+    """Declare subcommand ``name``: its options, then --out, then its handler.
+
+    An option is a flag, required and kept as text, or a pair of a flag and
+    the keywords of ``add_argument``.
+    """
+    p = group.add_parser(name, help=help)
+    for opt in options:
+        flag, kw = (opt, {"required": True}) if isinstance(opt, str) else opt
+        p.add_argument(flag, **kw)
+    p.add_argument("--out")
+    p.set_defaults(func=func)
+    return p
+
 
 @functools.cache
 def _build_parser() -> _Parser:
@@ -224,51 +217,31 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="grazebeam",
                 description="Grazing-beam numerical laboratory")
     sub = p.add_subparsers(dest="group", required=True)
-
-    ray = sub.add_parser("ray", help="ray geometry").add_subparsers(
-        dest="action", required=True)
-    trace = ray.add_parser("trace", help="tabulate the central ray")
-    trace.add_argument("--y", required=True,
-                       help="y values: comma list or start:stop:step")
-    trace.add_argument("--out")
-    trace.set_defaults(func=_cmd_ray_trace)
-
-    beam = sub.add_parser("beam", help="beam evaluation").add_subparsers(
-        dest="action", required=True)
-    field = beam.add_parser("field", help="beam field on a grid")
-    field.add_argument("--x", required=True)
-    field.add_argument("--y", required=True)
-    field.add_argument("--t", required=True)
-    field.add_argument("--k", required=True, type=finite)
-    field.add_argument("--out")
-    field.set_defaults(func=_cmd_beam_field)
-    onray = beam.add_parser("on-ray", help="beam value along the ray")
-    onray.add_argument("--x", required=True)
-    onray.add_argument("--out")
-    onray.set_defaults(func=_cmd_beam_on_ray)
-
-    graze = sub.add_parser("graze", help="grazing amplitude").add_subparsers(
-        dest="action", required=True)
-    w = graze.add_parser("w", help="reflected amplitude by method")
-    w.add_argument("--x", required=True)
-    w.add_argument("--k", default="1000")
-    w.add_argument("--method", default="closed", choices=_METHODS)
-    w.add_argument("--tol", type=finite, default=1e-8)
-    w.add_argument("--out")
+    ray, beam, graze = (
+        sub.add_parser(name, help=text).add_subparsers(dest="action",
+                                                       required=True)
+        for name, text in (("ray", "ray geometry"),
+                           ("beam", "beam evaluation"),
+                           ("graze", "grazing amplitude")))
+    _command(ray, "trace", "tabulate the central ray", _cmd_ray_trace,
+             ("--y", dict(required=True,
+                          help="y values: comma list or start:stop:step")))
+    _command(beam, "field", "beam field on a grid", _cmd_beam_field,
+             "--x", "--y", "--t", ("--k", dict(required=True, type=finite)))
+    _command(beam, "on-ray", "beam value along the ray", _cmd_beam_on_ray,
+             "--x")
+    w = _command(graze, "w", "reflected amplitude by method", _cmd_graze_w,
+                 "--x", ("--k", dict(default="1000")),
+                 ("--method", dict(default="closed", choices=_METHODS)),
+                 ("--tol", dict(type=finite, default=1e-8)))
     w.add_argument("--threads", type=int, default=1,
                    help="no effect, must be at least 1: cells run in order "
                         "on one thread; kept while the perfbench sweep ops "
                         "pass --threads 2")
-    w.set_defaults(func=_cmd_graze_w)
-    refl = graze.add_parser("reflected", help="emerging-amplitude curve")
-    refl.add_argument("--x", required=True)
-    refl.add_argument("--out")
-    refl.set_defaults(func=_cmd_graze_reflected)
-
-    ver = sub.add_parser("verify", help="verification suites")
-    ver.add_argument("suite", choices=sorted(verification.SUITES))
-    ver.add_argument("--out")
-    ver.set_defaults(func=_cmd_verify)
+    _command(graze, "reflected", "emerging-amplitude curve",
+             _cmd_graze_reflected, "--x")
+    _command(sub, "verify", "verification suites", _cmd_verify,
+             ("suite", dict(choices=sorted(verification.SUITES))))
     return p
 
 

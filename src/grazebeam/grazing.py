@@ -75,6 +75,23 @@ def quartic_moment(b: complex) -> complex:
     return 0.25*math.sqrt(math.pi)*b**-0.5
 
 
+#: least tol the oracle is held to: its panels are laid, not refined, so tol
+#: only sets the converged flag, and its estimate reads 8.2e-5 at (x, k) =
+#: (1e-3, 40), far above the CLI's default tol of 1e-8
+_ORACLE_TOL_FLOOR = 0.02
+
+
+def _check_route(x: float, k: float, tol: float) -> None:
+    """The finite-k routes' entry check: x, k finite, positive; 0 < tol < 1."""
+    for name, value in (("x", x), ("k", k)):
+        if not math.isfinite(value):
+            raise DomainError("%s must be finite" % name)
+        if value <= 0:
+            raise DomainError("%s must be positive" % name)
+    if not 0 < tol < 1:
+        raise DomainError("tol must lie in (0, 1)")
+
+
 def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     """The u-integral route at finite k (damping e^{-u^4/32}).
 
@@ -85,10 +102,7 @@ def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     the relative error is about 0.54 where k = x^{3/2} and 1.32 where
     k = 1e-3 x^{3/2}, both marked converged.
     """
-    if not (math.isfinite(x) and math.isfinite(k)):
-        raise DomainError("x and k must be finite")
-    if x <= 0:
-        raise DomainError("x must be positive")
+    _check_route(x, k, tol)
     if k < 10:
         raise DomainError("u-integral route expects k >= 10")
     a = quartic_coefficient(x)
@@ -141,10 +155,7 @@ def z_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
     Inside the Airy layer, X = k^{2/3} x below ``_Z_LAYER_X0``, the result
     comes back flagged ``converged=False`` whatever the quadrature did.
     """
-    if not (math.isfinite(x) and math.isfinite(k)):
-        raise DomainError("x and k must be finite")
-    if x <= 0:
-        raise DomainError("x must be positive")
+    _check_route(x, k, tol)
     ray = central_ray(2.0*math.sqrt(x))
     res = _z_route(x, ray.y, ray.t, k, tol)
     inside = k**(2.0/3.0)*x < _Z_LAYER_X0
@@ -152,13 +163,10 @@ def z_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
 
 
 def spectral_on_ray(x: float, k: float, tol: float = 0.02) -> QuadratureResult:
-    """The three-fold Airy-quotient oracle at the ray point over x."""
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    if x <= 0:
-        raise DomainError("x must be positive")
+    """The three-fold Airy-quotient oracle at the ray point, at tol >= 0.02."""
+    _check_route(x, k, tol)
     ray = central_ray(2.0*math.sqrt(x))
-    return exact_solution(x, ray.y, ray.t, k, tol)
+    return exact_solution(x, ray.y, ray.t, k, max(tol, _ORACLE_TOL_FLOOR))
 
 
 def limit_integral(x: float) -> complex:

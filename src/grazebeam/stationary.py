@@ -61,9 +61,8 @@ def root_r(x: float, y: float, z):
     disc = np.sqrt(1.0 + x - yz*yz/4.0)
     # |r| <= 1, with equality only on the grazing set, where the closed
     # form rounds up to 2.2e-16 past it
-    r = np.clip(-np.sqrt((x/2.0 + 1.0 + disc)/(2.0*(x*x + yz*yz)))*yz,
-                -1.0, 1.0)
-    return float(r) if np.ndim(z) == 0 else r
+    return np.clip(-np.sqrt((x/2.0 + 1.0 + disc)/(2.0*(x*x + yz*yz)))*yz,
+                   -1.0, 1.0)
 
 
 def _t_star(x: float, y: float, z, nu):
@@ -106,8 +105,7 @@ def hessian_J(x: float, nu, r) -> complex:
 def B_of_z(z):
     """B(z) = -z^3/8 + i z^4/32."""
     z = np.asarray(z, dtype=float)
-    out = -z*z*z/8.0 + 1j*((z*z)*(z*z))/32.0
-    return complex(out) if np.ndim(z) == 0 else out
+    return -z*z*z/8.0 + 1j*((z*z)*(z*z))/32.0
 
 
 def _stationary_sum(x: float, y: float, z: np.ndarray, r=None):
@@ -132,8 +130,7 @@ def C_of(x: float, y: float, z, t: float, r=None):
     the caller has already solved for it.
     """
     z = np.asarray(z, dtype=float)
-    out = t - z - z*z*z/12.0 + _stationary_sum(x, y, z, r)
-    return float(out) if np.ndim(z) == 0 else out
+    return t - z - z*z*z/12.0 + _stationary_sum(x, y, z, r)
 
 
 def nu_descent(x: float, y: float, z, t: float, k: float,
@@ -199,8 +196,7 @@ def series_r(x: float) -> np.ndarray:
 def phi_reduced(x: float, y: float, z):
     """phi = -z + r(y-z) + (y-z)^3/(48 r^3) + r x^2/(y-z) (array-safe)."""
     z = np.asarray(z, dtype=float)
-    out = -z + _stationary_sum(x, y, z)
-    return float(out) if np.ndim(z) == 0 else out
+    return -z + _stationary_sum(x, y, z)
 
 
 def series_phi(x: float) -> np.ndarray:

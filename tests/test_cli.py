@@ -119,9 +119,15 @@ class TestGrazeW:
         assert rel[0] > rel[1] > rel[2]
 
     def test_spectral_k_cap_refused(self, capsys):
-        code, _ = run_cli(capsys, "graze", "w", "--x", "0.5",
-                          "--k", "100000", "--method", "spectral")
-        assert code == 1
+        # the cap is the oracle's own, so the refusal is a domain error
+        code = main(["graze", "w", "--x", "0.5", "--k", "100000",
+                     "--method", "spectral"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: the oracle refuses k > 10000: its "
+                                "three-fold quadrature budget grows too "
+                                "fast; use u-integral or z-integral "
+                                "instead\n")
 
     def test_spectral_small_k_refused_with_its_bound(self, capsys):
         code = main(["graze", "w", "--x", "1", "--k", "36.8",
@@ -277,6 +283,11 @@ class TestInvalidInput:
         # k Im psi is small: the phase k psi has no double value
         ("beam", "field", "--x", "2e130", "--y", "1e50", "--t", "1e180",
          "--k", "1e-60"),
+        # k > 0 and the oracle's k cap are the routes' own checks
+        ("graze", "w", "--x", "1", "--k", "0", "--method", "u-integral"),
+        ("graze", "w", "--x", "1", "--k", "0", "--method", "z-integral"),
+        ("graze", "w", "--x", "1", "--k", "-3", "--method", "spectral"),
+        ("graze", "w", "--x", "1", "--k", "100,1e5", "--method", "spectral"),
     ])
     def test_library_domain_errors_exit_1(self, capsys, argv):
         code = main(list(argv))
@@ -575,6 +586,27 @@ class TestLibraryRefusals:
 
 
 class TestOutput:
+    @pytest.mark.parametrize("argv, code", [
+        (("ray", "trace", "--y", "0:1:0.5"), 0),
+        (("beam", "field", "--x", "0", "--y", "0,1", "--t", "0", "--k", "10"),
+         0),
+        (("beam", "on-ray", "--x", "0,1"), 0),
+        # X = k^{2/3} x = 0.1 is inside the Airy layer: a non-converged row
+        (("graze", "w", "--x", "0.001,1", "--k", "1000", "--method",
+          "z-integral"), 2),
+        (("graze", "reflected", "--x", "0.01,1"), 0),
+        (("verify", "closedform"), 0)],
+        ids=["ray-trace", "beam-field", "beam-on-ray", "graze-w",
+             "graze-reflected", "verify"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv,
+                                             code):
+        got, stdout = run_cli(capsys, *argv)
+        assert got == code and stdout.count("\n") >= 2
+        target = tmp_path/"out.txt"
+        got, out = run_cli(capsys, *argv, "--out", str(target))
+        assert got == code and out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path/"trace.csv"
         code, _ = run_cli(capsys, "ray", "trace", "--y", "0:1:0.5",

@@ -370,12 +370,38 @@ class TestResultContract:
         assert res == seen[0]
 
     @pytest.mark.parametrize("tol", [1.0, 1e300])
-    @pytest.mark.parametrize("route", ["u_integral", "z_integral"])
+    @pytest.mark.parametrize("route", ["u_integral", "z_integral",
+                                       "spectral_on_ray"])
     def test_tol_at_least_one_refused(self, route, tol):
-        # at the parent u_integral(1, 1e3, tol=1e300) gave |w| = 0.0593 on
-        # a window of radius 0.5, marked converged
+        # u_integral(1, 1e3, tol=1e300) once gave |w| = 0.0593 on a window
+        # of radius 0.5, and spectral_on_ray(1, 100, tol=1e300) a row
+        # marked converged whatever its estimate
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
             getattr(grazing, route)(1.0, 1e3, tol=tol)
+
+    @pytest.mark.parametrize("k", [0.0, -3.0])
+    @pytest.mark.parametrize("route", ["u_integral", "z_integral",
+                                       "spectral_on_ray"])
+    def test_nonpositive_k_refused(self, route, k):
+        # z_integral(1, 0) once refused with "damping coefficient must be
+        # positive", naming no argument the caller gave
+        with pytest.raises(DomainError, match=r"^k must be positive$"):
+            getattr(grazing, route)(1.0, k)
+
+    @pytest.mark.parametrize("k", [math.nextafter(1e4, math.inf), 1e5])
+    def test_spectral_k_cap_refused(self, k):
+        with pytest.raises(DomainError, match=r"refuses k > 10000: "):
+            grazing.spectral_on_ray(1.0, k)
+
+    def test_spectral_tol_floor(self):
+        # the oracle's panels are laid, not refined: a tol below 0.02 is
+        # raised to it, so the row keeps the flag of the oracle at 0.02
+        x, k = 0.5, 60.0
+        ray = raybeam.central_ray(2.0*math.sqrt(x))
+        at_floor = spectral.exact_solution(x, ray.y, ray.t, k, 0.02)
+        assert grazing.spectral_on_ray(x, k, 1e-9) == at_floor
+        assert at_floor.converged
+        assert not spectral.exact_solution(x, ray.y, ray.t, k, 1e-9).converged
 
     @pytest.mark.parametrize("x, k", [(math.nan, 1e3), (math.inf, 1e3),
                                       (1.0, math.nan), (1.0, math.inf),

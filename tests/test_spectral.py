@@ -93,11 +93,12 @@ class TestZeta:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [-2.0/3.0, -0.5])
     def test_pole_at_nu_zero_is_not_finite(self, alpha):
-        with pytest.raises(ZeroDivisionError):
-            spectral.neg_power(0.0, alpha)
-        for nu in (np.zeros(2), np.zeros(2, dtype=complex)):
+        # one polar rule: a scalar warns at the pole as an array does
+        for nu in (0.0, 0j, np.zeros(2), np.zeros(2, dtype=complex)):
             with pytest.raises(RuntimeWarning):
                 spectral.neg_power(nu, alpha)
+            with np.errstate(divide="ignore"):
+                assert not np.any(np.isfinite(spectral.neg_power(nu, alpha)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [1.0/3.0, 2.0/3.0])
@@ -514,6 +515,21 @@ class TestExactSolution:
         args[slot] = bad
         with pytest.raises(DomainError, match="must be finite$"):
             spectral.exact_solution(**args)
+
+    def test_k_range_is_closed_at_the_cap(self, monkeypatch):
+        # k = 1e4 passes every check (the stub stops the call right after
+        # them); the next double above it is refused, as is 1e5
+        class Checked(Exception):
+            pass
+
+        def stop(*args):
+            raise Checked
+        monkeypatch.setattr(spectral, "_window_rates", stop)
+        with pytest.raises(Checked):
+            spectral.exact_solution(1.0, 2.0, 8.0/3.0, 1e4)
+        for k in (math.nextafter(1e4, math.inf), 1e5):
+            with pytest.raises(DomainError, match=r"refuses k > 10000: "):
+                spectral.exact_solution(1.0, 2.0, 8.0/3.0, k)
 
     @pytest.mark.parametrize("k, w", [
         (100.0, 0.39037553549259973-0.21082174933260908j),
