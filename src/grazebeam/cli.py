@@ -28,6 +28,9 @@ _METHODS = ("closed", "u-integral", "z-integral", "spectral")
 #: most values one list, or cells one grid command, may hold
 MAX_VALUES = 10**6
 
+#: most k of one u-integral quadrature (each adds ~8 MB on a spent budget)
+U_BLOCK = 16
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -158,15 +161,21 @@ def _cmd_graze_w(args) -> int:
     rows = []
     for x in xs:
         closed = grazing.w_on_ray_closed(x)
-        for k in ks:
-            if route is None:
-                w, qerr, ok = closed, 0.0, True
-            else:
-                res = route(x, k, args.tol)
-                w, qerr, ok = res.value, res.error_estimate, res.converged
-            rows.append((x, k, args.method, *_parts(w), closed.real,
-                         closed.imag, abs(w - closed)/abs(closed), qerr,
-                         "ok" if ok else "non-converged"))
+        if route is None:
+            cells = [(closed, 0.0, True)]
+        elif args.method == "u-integral":  # one quadrature per U_BLOCK k
+            cells = []
+            for i in range(0, len(ks), U_BLOCK):
+                res = route(x, ks[i:i + U_BLOCK], args.tol)
+                cells += [(w, qerr, res.converged)
+                          for w, qerr in zip(res.value, res.error_estimate)]
+        else:
+            cells = [(res.value, res.error_estimate, res.converged)
+                     for res in (route(x, k, args.tol) for k in ks)]
+        rows += [(x, k, args.method, *_parts(w), closed.real, closed.imag,
+                  abs(w - closed)/abs(closed), qerr,
+                  "ok" if ok else "non-converged")
+                 for k, (w, qerr, ok) in zip(ks, cells)]
     code = _table(args, "x,k,method,re_w,im_w,abs_w,re_closed,im_closed,"
                         "rel_err,quad_err,status", rows)
     return code or (EXIT_OK if all(r[-1] == "ok" for r in rows)

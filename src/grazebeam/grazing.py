@@ -92,33 +92,41 @@ def _check_route(x: float, k: float, tol: float) -> None:
         raise DomainError("tol must lie in (0, 1)")
 
 
-def u_integral(x: float, k: float, tol: float = 1e-9) -> QuadratureResult:
+def u_integral(x: float, k, tol: float = 1e-9) -> QuadratureResult:
     """The u-integral route at finite k (damping e^{-u^4/32}).
 
     Like every finite-k route here it returns its w in w units with the
     quadrature's error, window radius and panel count; on a spent panel
     budget the best estimate comes back flagged ``converged=False``.
+    k is a float or a 1-d array; ``value`` and ``error_estimate`` follow
+    its shape.  An array is one quadrature: every k shares the nodes of
+    the window of the largest k (the damping scale 4 W k^{1/12} grows with
+    k), its panel count, and one flag that holds when every k meets tol.
     The limit needs k x^{3/2} >> 1 at small x and k >> x^{3/2} at large x:
     the relative error is about 0.54 where k = x^{3/2} and 1.32 where
     k = 1e-3 x^{3/2}, both marked converged.
     """
-    _check_route(x, k, tol)
-    if k < 10:
-        raise DomainError("u-integral route expects k >= 10")
+    for ki in np.ravel(k):
+        _check_route(x, ki, tol)
+        if ki < 10:
+            raise DomainError("u-integral route expects k >= 10")
     a = quartic_coefficient(x)
-    k16 = k**(1.0/6.0)
-    k112 = k**(-1.0/12.0)
+    kk = np.asarray(k, dtype=float)
+    kk = kk[:, None] if kk.ndim else kk  # one row of nodes per k
+    k16 = kk**(1.0/6.0)
+    k112 = kk**(-1.0/12.0)
 
     def f(u):
         bracket = 0.5j*u - k112*airy.OMEGA*airy.ratio_on_ray((u*u/4.0)*k16)
         return bracket*np.exp(1j*a*((u*u)*(u*u)))
 
     osc = 4.0*abs(a)*_U_WINDOW**3 + 1.0
-    spec = IntegrandSpec(
-        f, DampingProfile(1.0/32.0, 4, scale=4.0*_U_WINDOW*k112*k16), osc)
+    spec = IntegrandSpec(f, DampingProfile(
+        1.0/32.0, 4, scale=float(np.max(4.0*_U_WINDOW*k112*k16))), osc)
     res = integrate_1d(spec, tol)
     c = constant_c()
-    return replace(res, value=complex(c/x**0.25*res.value),
+    value = c/x**0.25*res.value
+    return replace(res, value=value if np.ndim(k) else complex(value),
                    error_estimate=abs(c)/x**0.25*res.error_estimate)
 
 

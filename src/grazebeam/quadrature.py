@@ -5,7 +5,9 @@ exp(-a*u**p) with p in {2, 4}, which makes truncated panel quadrature on a
 finite window sufficient even at large oscillation scales.  The engine uses
 embedded Gauss7/Kronrod15 panels, splits the worst panels until the summed
 error estimate meets the tolerance, and always accumulates panels in
-left-endpoint order so results are bit-stable.
+left-endpoint order so results are bit-stable.  An integrand may be
+vector-valued, returning shape (..., n) at n nodes: the batch shares one
+panel set, refined where its largest member error sits.
 
 A rotated-ray variant integrates entire integrands along the bent contour
 (arg = pi - theta) -> 0 -> (arg = theta), which converts cubic-phase
@@ -101,13 +103,15 @@ class IntegrandSpec:
 class QuadratureResult:
     """An integral with its error estimate, window radius and panel count.
 
-    ``converged`` is False when tol was not met within ``_MAX_PANELS``
-    panels, or when a route was asked outside its regime; value and
-    error_estimate are then the best estimate and its error.
+    value and error_estimate take the leading shape of a vector-valued
+    integrand (a complex and a float for a scalar one); the window, panel
+    count and flag are the batch's.  ``converged`` is False when a member
+    missed tol within ``_MAX_PANELS`` panels, or when a route was asked
+    outside its regime; value and error_estimate are then the best so far.
     """
 
-    value: complex
-    error_estimate: float
+    value: Union[complex, np.ndarray]
+    error_estimate: Union[float, np.ndarray]
     truncation_radius: float
     panel_count: int
     converged: bool
@@ -158,9 +162,10 @@ def kronrod_panels(lefts: np.ndarray, rights: np.ndarray):
 
 def _panel_sums(f: Callable[[np.ndarray], np.ndarray],
                 lefts: np.ndarray, rights: np.ndarray):
-    """Kronrod and Gauss sums plus error estimates for a batch of panels."""
+    """Kronrod sums and error estimates per panel, keeping f's leading axes."""
     pts, half, wk, wg = kronrod_panels(lefts, rights)
-    vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
+    vals = np.asarray(f(pts.ravel()), dtype=complex)
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
     k15 = (vals @ wk)*half
     g7 = (vals @ wg)*half
     return k15, np.abs(k15 - g7)
@@ -175,15 +180,18 @@ def _adapt(f, lo, hi, tol, oscillation_scale) -> QuadratureResult:
     k15, err = _panel_sums(f, lefts, rights)
 
     while True:
-        total = np.sum(k15[np.argsort(lefts, kind="stable")])
-        total_err = float(err.sum())
-        converged = bool(total_err <= 0.5*tol*(1.0 + abs(total)))
+        total = np.sum(k15[..., np.argsort(lefts, kind="stable")], axis=-1)
+        total_err = err.sum(axis=-1)
+        converged = bool(np.all(total_err <= 0.5*tol*(1.0 + abs(total))))
         if converged or len(lefts) >= _MAX_PANELS:
-            return QuadratureResult(total, total_err, hi, len(lefts),
-                                    converged)
-        # split the worst ~12% of panels, at least one, within the budget
+            return QuadratureResult(
+                total, total_err if total_err.ndim else float(total_err), hi,
+                len(lefts), converged)
+        # split the worst ~12% of panels by their largest member error, at
+        # least one, within the budget
         n_split = max(1, min(len(lefts)//8, _MAX_PANELS - len(lefts)))
-        worst = np.argsort(err, kind="stable")[-n_split:]
+        worst = np.argsort(err.reshape(-1, len(lefts)).max(axis=0),
+                           kind="stable")[-n_split:]
         keep = np.setdiff1d(np.arange(len(lefts)), worst)
         mids = 0.5*(lefts[worst] + rights[worst])
         new_l = np.concatenate([lefts[worst], mids])
@@ -191,8 +199,8 @@ def _adapt(f, lo, hi, tol, oscillation_scale) -> QuadratureResult:
         k15_new, err_new = _panel_sums(f, new_l, new_r)
         lefts = np.concatenate([lefts[keep], new_l])
         rights = np.concatenate([rights[keep], new_r])
-        k15 = np.concatenate([k15[keep], k15_new])
-        err = np.concatenate([err[keep], err_new])
+        k15 = np.concatenate([k15[..., keep], k15_new], axis=-1)
+        err = np.concatenate([err[..., keep], err_new], axis=-1)
 
 
 def _window(spec: IntegrandSpec, tol: float) -> float:
@@ -211,7 +219,7 @@ def integrate_1d(spec: IntegrandSpec, tol: float) -> QuadratureResult:
 
     The window is chosen so the neglected tail is below tol/10; panels are
     then refined until the summed Kronrod-Gauss error estimate is below
-    tol*(1 + |value|)/2.
+    tol*(1 + |value|)/2, for every member of a vector-valued integrand.
     """
     R = _window(spec, tol)
     return _adapt(spec.evaluator, -R, R, tol, spec.oscillation_scale)

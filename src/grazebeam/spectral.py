@@ -186,7 +186,7 @@ def amplitude_Z(k: float, x: float, mu, nu, T):
     front = k**(11.0/6.0)/(np.sqrt(2.0)*(2.0*np.pi)**3*airy.WRONSKIAN_ZERO)
     bracket = (1j*k**(1.0/3.0)*np.asarray(T)
                - airy.OMEGA*airy.airy_ratio(airy.RAY*q0))
-    return front*bracket*(airy.RAY*qx)**-0.25
+    return front*bracket/np.sqrt(np.sqrt(airy.RAY*qx))
 
 
 # ---------------------------------------------------------------------------

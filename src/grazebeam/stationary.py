@@ -171,7 +171,7 @@ def reduced_integrand(x: float, y: float, t: float, k: float, z):
     def amp(nu):
         T = _t_star(x, y, z, nu)
         return ((2.0*math.pi/k)*amplitude_Z(k, x, nu*r, nu, T)
-                * (-hessian_J(x, nu, r))**-0.5)
+                / np.sqrt(-hessian_J(x, nu, r)))
 
     return nu_descent(x, y, z, t, k, amp, r)
 
@@ -184,12 +184,12 @@ def series_r(x: float) -> np.ndarray:
     """Raw z-derivatives of r of orders 0-4 at the grazing set.
 
     (r, r_z, r_zz) = (-1, 0, 1/4) universally;
-    r_zzz = (3/8)(x^{-1/2} - x^{1/2}) and r_zzzz = (15/16)(x - 1 + 1/x).
+    r_zzz = (3/8)(1 - x)/sqrt(x) and r_zzzz = (15/16)(x - 1 + 1/x).
     """
     if x <= 0:
         raise DomainError("series defined for x > 0")
     sx = math.sqrt(x)
-    return np.array([-1.0, 0.0, 0.25, (3.0/8.0)*(1.0/sx - sx),
+    return np.array([-1.0, 0.0, 0.25, (3.0/8.0)*(1.0 - x)/sx,
                      (15.0/16.0)*(x - 1.0 + 1.0/x)])
 
 
@@ -205,19 +205,19 @@ def series_phi(x: float) -> np.ndarray:
     Base point (x, y, z) = (x, 2 sqrt(x), 0); the z-derivatives depend only
     on y - z, so this normalization loses no generality:
     (phi, phi_z, phi_zz, phi_zzz, phi_zzzz) =
-    (-y - (y-z)^3/12, 0, 0, -1/4, (3/8)(sqrt(x) - 1/sqrt(x))).
+    (-y - (y-z)^3/12, 0, 0, -1/4, -(3/8)(1 - x)/sqrt(x)).
     """
     if x <= 0:
         raise DomainError("series defined for x > 0")
     sx = math.sqrt(x)
     return np.array([-2.0*sx - (2.0/3.0)*x*sx, 0.0, 0.0, -0.25,
-                     (3.0/8.0)*(sx - 1.0/sx)])
+                     -(3.0/8.0)*(1.0 - x)/sx])
 
 
 def quartic_coefficient(x: float) -> complex:
     """a(x) with d^4/dz^4 [B - C] = 24 a(x) on the ray at the grazing point.
 
-    a(x) = (B_zzzz - phi_zzzz)/24 = [-(3/8)(sqrt(x) - 1/sqrt(x)) + 3i/4]/24;
+    a(x) = (B_zzzz - phi_zzzz)/24 = [(3/8)(1 - x)/sqrt(x) + 3i/4]/24;
     its imaginary part is 1/32 for every x, which is the universal quartic
     damping rate of the grazing amplitude integral.  (Named to avoid
     colliding with the beam amplitude a(y).)

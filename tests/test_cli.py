@@ -164,6 +164,38 @@ class TestGrazeW:
         w_flagged = complex(float(flagged[3]), float(flagged[4]))
         assert abs(w_flagged - w_ok) <= 1e-9*abs(w_ok)
 
+    def test_refused_k_refuses_the_u_row(self, capsys):
+        code = main(["graze", "w", "--x", "1", "--k", "1000,5,10000",
+                     "--method", "u-integral"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: u-integral route expects k >= 10\n"
+
+    def test_long_u_row_is_split_into_blocks(self, capsys, monkeypatch):
+        # memory grows with the k of one quadrature, so a row takes at most
+        # U_BLOCK of them at a time
+        sizes, route = [], grazing.u_integral
+
+        def recording(x, k, tol):
+            sizes.append(len(k))
+            return route(x, k, tol)
+        monkeypatch.setattr(grazing, "u_integral", recording)
+        n = cli.U_BLOCK + 1
+        code, out = run_cli(capsys, "graze", "w", "--x", "1,2", "--k",
+                            "1000:%d:100" % (1000 + 100*(n - 1)),
+                            "--method", "u-integral")
+        assert code == 0 and len(out.strip().splitlines()) == 1 + 2*n
+        assert sizes == [cli.U_BLOCK, 1]*2
+
+    def test_u_row_shares_one_status(self, capsys):
+        # one quadrature per x row: the flag of each cell is the row's
+        code, out = run_cli(capsys, "graze", "w", "--x", "1", "--k",
+                            "1000,1000000", "--method", "u-integral",
+                            "--tol", "1e-17")
+        rows = out.strip().splitlines()[1:]
+        assert code == 2 and len(rows) == 2
+        assert all(r.split(",")[-1] == "non-converged" for r in rows)
+
     @pytest.mark.parametrize("x, k, code, status", [
         # X = k^{2/3} x: 0.1 and 6 inside the Airy layer, 15 and 11.1 past
         # X0 = 10; at x = 0.001 the parent printed |w| = 1.36 with rel_err

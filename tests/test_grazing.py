@@ -221,6 +221,43 @@ class TestUIntegral:
             assert abs(grazing.u_integral(x, k).value) <= 1.0
 
 
+#: the u-integral k of a ``graze w`` sweep row, 1e3 to 1e6
+_ROW_K = np.logspace(3.0, 6.0, 13)
+
+
+class TestURow:
+    """u_integral over an array of k: one quadrature for the whole row."""
+
+    @pytest.mark.parametrize("x", [0.05, 4.0])
+    def test_row_equals_per_cell_calls(self, x):
+        # the shared window moved a cell by at most 1.21e-11 (x = 0.05)
+        row = grazing.u_integral(x, _ROW_K, 1e-8)
+        assert row.converged
+        assert row.value.shape == row.error_estimate.shape == _ROW_K.shape
+        for k, w in zip(_ROW_K, row.value):
+            cell = grazing.u_integral(x, k, 1e-8)
+            assert cell.converged
+            assert abs(w - cell.value) <= 1e-10*abs(cell.value)
+
+    def test_one_quadrature_on_the_largest_k_window(self, monkeypatch):
+        seen = _record_integrate_1d(monkeypatch)
+        row = grazing.u_integral(1.0, list(_ROW_K[::-1]))
+        assert len(seen) == 1
+        widest = grazing.u_integral(1.0, _ROW_K[-1])
+        assert row.truncation_radius == widest.truncation_radius
+        assert row.truncation_radius > \
+            grazing.u_integral(1.0, _ROW_K[0]).truncation_radius
+        # the scalar call is the batch without axes
+        assert isinstance(widest.value, complex)
+        assert np.ndim(widest.error_estimate) == 0
+
+    def test_refused_member_refuses_the_row(self):
+        with pytest.raises(DomainError, match=r"expects k >= 10$"):
+            grazing.u_integral(1.0, [1e3, 5.0, 1e4])
+        with pytest.raises(DomainError, match=r"^k must be finite$"):
+            grazing.u_integral(1.0, np.array([1e3, math.inf]))
+
+
 class TestZIntegral:
     def test_cross_method_agreement_at_1e5(self):
         x, k = 1.0, 1e5

@@ -82,6 +82,69 @@ class TestIntegrate1d:
             integrate_1d(spec, tol)
 
 
+def _lorentzian(u, eps):
+    """e^{-u^2} eps/(eps^2 + u^2): a peak of width eps forces refinement."""
+    return np.exp(-u*u)*eps/(eps*eps + u*u)
+
+
+class TestVectorIntegrand:
+    """A batch of integrands is one quadrature on shared panels."""
+
+    def _members(self, spec, params, tol):
+        return [integrate_1d(IntegrandSpec(
+            lambda u, p=p: spec.evaluator(u, p), spec.damping_profile,
+            spec.oscillation_scale), tol) for p in params]
+
+    @pytest.mark.parametrize("f, params, osc", [
+        # smooth: every member at the double-precision floor
+        (lambda u, k: np.exp(1j*k*u - u*u), [0.0, 0.5, 1.0, 2.0], 2.0),
+        # the narrowest peak refines the shared panels
+        (_lorentzian, [0.3, 0.03, 0.003], 1.0)])
+    def test_batch_equals_scalar_calls(self, f, params, osc):
+        col = np.array(params)[:, None]
+        spec = IntegrandSpec(lambda u, p=col: f(u, p), DampingProfile(1.0, 2),
+                             osc)
+        batch = integrate_1d(spec, 1e-10)
+        members = self._members(spec, params, 1e-10)
+        assert batch.converged and all(r.converged for r in members)
+        assert batch.value.shape == batch.error_estimate.shape == \
+            (len(params),)
+        # the member that needs the most panels sets the batch's
+        assert batch.panel_count == max(r.panel_count for r in members)
+        for got, r in zip(batch.value, members):
+            assert abs(got - r.value) <= 1e-15*abs(r.value)
+            assert r.truncation_radius == batch.truncation_radius
+
+    def test_batch_of_one_and_leading_axes(self):
+        def f(u):
+            return np.exp(1j*u - u*u)
+        scalar = integrate_1d(IntegrandSpec(f, DampingProfile(1.0, 2)), 1e-12)
+        assert type(scalar.error_estimate) is float
+        assert np.ndim(scalar.value) == 0
+        one = integrate_1d(IntegrandSpec(lambda u: f(u)[None],
+                                         DampingProfile(1.0, 2)), 1e-12)
+        assert one.value.shape == (1,) and one.panel_count == \
+            scalar.panel_count
+        assert abs(one.value[0] - scalar.value) <= 1e-15*abs(scalar.value)
+        grid = integrate_1d(IntegrandSpec(
+            lambda u: np.ones((2, 3, 1))*f(u), DampingProfile(1.0, 2)),
+            1e-12)
+        assert grid.value.shape == grid.error_estimate.shape == (2, 3)
+        assert np.all(np.abs(grid.value - scalar.value)
+                      <= 1e-15*abs(scalar.value))
+
+    def test_spent_budget_flags_the_whole_batch(self, monkeypatch):
+        monkeypatch.setattr(quad, "_MAX_PANELS", 16)
+        spec = IntegrandSpec(
+            lambda u: np.exp(1j*np.array([[0.0], [300.0]])*u - u*u),
+            DampingProfile(1.0, 2), 1.0)
+        res = integrate_1d(spec, 1e-8)
+        assert res.converged is False and res.panel_count == 16
+        assert np.all(np.isfinite(res.value))
+        # the smooth member meets tol; the flag is still the batch's
+        assert res.error_estimate[0] <= 0.5e-8 < res.error_estimate[1]
+
+
 class TestIntegrateNd:
     def test_product_gaussian(self):
         spec = IntegrandSpec(lambda u, v: np.exp(-u*u - v*v),

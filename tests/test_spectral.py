@@ -418,6 +418,27 @@ class TestAmplitudeZ:
         val = spectral.amplitude_Z(1e3, 1.0, 1.0, -1.0, 0.0)
         assert np.isfinite(val) and abs(val) > 0
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.05, 20.0), st.floats(-math.pi, math.pi))
+    def test_square_roots_are_the_principal_powers(self, rho, theta):
+        # zeta^{-1/4} here and (-J)^{-1/2} in stationary.reduced_integrand
+        # are taken as 1/sqrt(sqrt(v)) and 1/sqrt(v): sqrt maps into
+        # Re >= 0, so both keep the principal branch, also on the negative
+        # real axis, where either signed zero lands on its own side
+        z = rho*complex(math.cos(theta), math.sin(theta))
+        for v in (z, complex(-rho, 0.0), complex(-rho, -0.0)):
+            for p, form in ((-0.5, lambda u: 1.0/np.sqrt(u)),
+                            (-0.25, lambda u: 1.0/np.sqrt(np.sqrt(u)))):
+                want = np.complex128(v)**p
+                for got in (form(np.complex128(v)), form(np.array([v, v]))):
+                    assert np.all(np.abs(got - want) <= 1e-15*abs(want))
+        # on the axis both forms of the inverse square root give -+i
+        for im, sign in ((0.0, -1.0), (-0.0, 1.0)):
+            v = np.complex128(complex(-rho, im))
+            want = sign*1j/math.sqrt(rho)
+            for got in (1.0/np.sqrt(v), v**-0.5):
+                assert abs(got - want) <= 1e-15*abs(want)
+
 
 def _full_grid_oracle(x, y, t, k, axes):
     """The (z, s, nu) tensor rule contracted on whole grids (earlier form).

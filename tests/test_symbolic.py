@@ -97,12 +97,12 @@ class TestLadders:
 
 
 class TestNearXOne:
-    """The third-order r and fourth-order phi cancel as x -> 1."""
+    """The third-order r and fourth-order phi keep their digits as x -> 1.
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "(3/8)(1/sqrt(x) - sqrt(x)) cancels near x = 1: 6.5 ulp at x = 0.9, "
-        "185 at 1.01; (3/8)(1 - x)/sqrt(x) keeps the digits but moves the "
-        "printed u-integral rows and verify appendix2 in their last digits"))
+    Written as (3/8)(1/sqrt(x) - sqrt(x)) they cancelled there: 6.5 ulp off
+    at x = 0.9 and 185 at 1.01.
+    """
+
     @pytest.mark.parametrize("x", [0.9, 1.01])
     def test_third_order_keeps_its_digits(self, ladders, x):
         _assert_ulps(stationary.series_r(x)[3], ladders[0][3], x)
