@@ -1,7 +1,8 @@
 """Complex Airy function kernel: Ai, the Wronskian with Ai(omega*z), Ai'/Ai.
 
 Everything downstream (the spectral quotient, the reciprocal Wronskian
-factor, the grazing-amplitude integrals) reduces to four ingredients:
+factor, the grazing-amplitude integrals) reduces to four ingredients, each
+elementwise on arrays (a scalar argument gives a scalar):
 
 * Ai and Ai' on a bounded disk |z| <= R_MAX, evaluated by the AMOS library
   (Amos 1986, ACM TOMS 12:265) through scipy (relative accuracy ~1e-13
@@ -68,8 +69,8 @@ it implements the reciprocal trick used to invert Ai on the boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy import special as sp
@@ -136,68 +137,65 @@ _RAY_TAYLOR_ORDER = 16
 
 @dataclass(frozen=True)
 class AiryValue:
-    """Ai together with its derivative."""
+    """Ai together with its derivative, each of the argument's shape."""
 
-    value: complex
-    derivative: complex
+    value: Union[complex, np.ndarray]
+    derivative: Union[complex, np.ndarray]
 
 
-def _check_radius(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+def _check_radius(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
         raise DomainError("argument must be finite")
-    if abs(z) > R_MAX:
+    if np.abs(z).max(initial=0.0) > R_MAX:
         raise DomainError(
             "|z| = %.3g outside the supported evaluation radius R_MAX = %.3g"
-            % (abs(z), R_MAX))
+            % (np.abs(z).max(), R_MAX))
     return z
 
 
-def airy_ai(z: complex) -> AiryValue:
-    """Ai(z) and Ai'(z) for complex z with |z| <= R_MAX."""
-    z = _check_radius(z)
-    ai, aip, _, _ = sp.airy(z)
-    return AiryValue(complex(ai), complex(aip))
+def airy_ai(z) -> AiryValue:
+    """Ai(z) and Ai'(z) for complex z with |z| <= R_MAX, elementwise."""
+    ai, aip, _, _ = sp.airy(_check_radius(z))
+    return AiryValue(ai[()], aip[()])
 
 
-def wronskian(z: complex) -> complex:
-    """A(z)Ai'(z) - A'(z)Ai(z); constant in z (equals WRONSKIAN_ZERO).
+def wronskian(z):
+    """A(z)Ai'(z) - A'(z)Ai(z), elementwise; constant (equals WRONSKIAN_ZERO).
 
-    For arg z in (pi/3, pi) both Ai(z) and Ai(omega z) are dominant and the
-    direct products cancel to exp(-4|z|^{3/2}/3) of their size, which
-    destroys double precision beyond |z| ~ 6.  There the connection formula
-    Ai(z) + omega Ai(omega z) + omega^2 Ai(omega^2 z) = 0 rewrites the same
-    constant through the pair (omega z, omega^2 z), whose second member is
-    recessive:  W = Ai'(omega z) Ai(omega^2 z) - omega Ai(omega z) Ai'(omega^2 z).
+    W = Ai(omega p) Ai'(p) - omega Ai'(omega p) Ai(p) with p = z, except
+    for arg z in (pi/3, pi], where Ai(z) and Ai(omega z) are both dominant
+    and the products cancel to exp(-4|z|^{3/2}/3) of their size (no digits
+    left beyond |z| ~ 6).  There p = omega z: by the connection formula
+    Ai(z) + omega Ai(omega z) + omega^2 Ai(omega^2 z) = 0 the pair
+    (omega z, omega^2 z), whose second member is recessive, has the same W.
     """
-    z = complex(z)
-    if np.pi/3.0 < np.angle(z) <= np.pi:
-        u = airy_ai(OMEGA*z)
-        v = airy_ai(OMEGA**2*z)
-        return u.derivative*v.value - OMEGA*u.value*v.derivative
-    ai = airy_ai(z)
-    ro = airy_ai(OMEGA*z)
-    return ro.value*ai.derivative - OMEGA*ro.derivative*ai.value
+    z = np.asarray(z, dtype=complex)
+    p = np.where(np.angle(z) > np.pi/3.0, OMEGA*z, z)
+    ai, ro = airy_ai(p), airy_ai(OMEGA*p)
+    return (ro.value*ai.derivative - OMEGA*ro.derivative*ai.value)[()]
 
 
-def airy_asymptotic(z: complex, order: int = 0) -> complex:
+def airy_asymptotic(z, order: int = 0):
     """Large-|z| form of Ai with the correction series through ``order``.
 
     Returns (2 sqrt(pi) z^{1/4})^{-1} exp(-2 z^{3/2}/3) * sum_{n<=order}
-    u_n (-1/zeta)^n with zeta = 2 z^{3/2}/3, on principal branches.
-    Valid in the sector |arg z| < pi - 0.01 and for |z| >= 2.
+    u_n (-1/zeta)^n with zeta = 2 z^{3/2}/3, on principal branches, with
+    z^{3/2} = z sqrt(z) and z^{1/4} = sqrt(sqrt(z)), elementwise.  Valid in
+    the sector |arg z| < pi - 0.01 and for |z| >= 2.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     if order < 0 or order > MAX_ASYMPTOTIC_ORDER:
         raise DomainError("order must be in [0, %d]" % MAX_ASYMPTOTIC_ORDER)
-    if abs(z) < 2.0:
+    if (np.abs(z) < 2.0).any():
         raise DomainError("asymptotic form requires |z| >= 2")
-    if abs(np.angle(z)) >= np.pi - 0.01:
-        raise DomainError("arg z = %.3f outside the sector |arg z| < pi - 0.01"
-                          % np.angle(z))
-    zeta = (2.0/3.0)*z**1.5
+    arg = np.abs(np.angle(z)).max(initial=0.0)
+    if arg >= np.pi - 0.01:
+        raise DomainError("|arg z| = %.3f outside |arg z| < pi - 0.01" % arg)
+    root = np.sqrt(z)
+    zeta = (2.0/3.0)*z*root
     series = _horner(_U_COEFFS[:order + 1], -1.0/zeta)
-    return np.exp(-zeta)/(2.0*np.sqrt(np.pi)*z**0.25)*series
+    return (np.exp(-zeta)/(2.0*np.sqrt(np.pi)*np.sqrt(root))*series)[()]
 
 
 def ray_exponent(q):

@@ -68,8 +68,8 @@ _MAX_PANELS = 20000
 class DampingProfile:
     """Damping factor exp(-coefficient*|u|**power) bounding the tail.
 
-    ``scale`` bounds the integrand prefactor relative to its peak and enters
-    the tail estimate multiplicatively.
+    ``scale`` (finite and positive) bounds the integrand prefactor relative
+    to its peak and enters the tail estimate multiplicatively.
     """
 
     coefficient: float
@@ -77,10 +77,12 @@ class DampingProfile:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.coefficient <= 0:
+        if not 0 < self.coefficient < math.inf:
             raise DomainError("damping coefficient must be positive")
         if self.power not in (2, 3, 4):
             raise DomainError("damping power must be 2, 3 or 4")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("damping scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -127,16 +129,13 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
     by the Wright omega function (Corless and Jeffrey 2002), raised by the
     few ulp that make the bound hold in floating point; R = 0 where v
     underflows, as the whole integral is then below tail_tol.  Monotone
-    decreasing in the coefficient.  Raises :class:`DomainError` for a power
-    outside (2, 3, 4) and when R exceeds 1e8.
+    decreasing in the coefficient.  Raises :class:`DomainError` where
+    :class:`DampingProfile` does, and when R exceeds 1e8.
     """
-    if not 0 < damping_coefficient < math.inf:
-        raise DomainError("damping coefficient must be positive")
+    DampingProfile(damping_coefficient, power, scale)  # its entry checks
     if not tail_tol > 0:
         raise DomainError("tail tolerance must be positive")
-    if power not in (2, 3, 4):
-        raise DomainError("damping power must be 2, 3 or 4")
-    a, p, c = damping_coefficient, power, max(scale, 1e-300)
+    a, p, c = damping_coefficient, power, scale
     b, L = (p - 1)/p, math.log(2*c/p) - math.log(tail_tol) - math.log(a)/p
     R = (b*float(wrightomega(L/b - math.log(b)))/a)**(1/p)
     if not R <= 1e8:
@@ -228,37 +227,32 @@ def integrate_1d(spec: IntegrandSpec, tol: float) -> QuadratureResult:
 def integrate_nd(spec: IntegrandSpec, tol: float) -> QuadratureResult:
     """Nested application of integrate_1d over two axes, f(u, v).
 
-    Axis 0 (u) is the outer integral; its integrand runs one inner
-    integration over v per outer node.  The reported error adds the outer
-    estimate to the largest inner estimate scaled by the outer window, which
-    is conservative for near-separable damping.  ``converged`` is False if
-    the outer or any inner integral spent its panel budget.
+    Axis 0 (u) is the outer integral; each evaluation of its integrand is
+    one vector-valued inner integral over v, the evaluator taking u as a
+    column.  The error adds the outer estimate to the largest inner one
+    scaled by the outer window (conservative for near-separable damping);
+    the panel count adds every panel laid.  ``converged`` is False if the
+    outer or any inner integral spent its panel budget.
     """
     profiles = spec.damping_profile
     if isinstance(profiles, DampingProfile) or len(profiles) != 2:
         raise DomainError("need one damping profile per axis")
-    inner_err, inner_panels, inner_ok = 0.0, 0, True
+    inner = []
 
     def outer_integrand(u):
-        nonlocal inner_err, inner_panels, inner_ok
-        out = np.empty(u.shape, dtype=complex)
-        flat = out.ravel()
-        for i, ui in enumerate(np.asarray(u).ravel()):
-            r = integrate_1d(IntegrandSpec(
-                lambda v, ui=ui: spec.evaluator(ui, v), profiles[1],
-                spec.oscillation_scale), tol/4.0)
-            flat[i] = r.value
-            inner_err = max(inner_err, r.error_estimate)
-            inner_panels += r.panel_count
-            inner_ok = inner_ok and r.converged
-        return out
+        inner.append(integrate_1d(IntegrandSpec(
+            lambda v: spec.evaluator(u[:, None], v), profiles[1],
+            spec.oscillation_scale), tol/4.0))
+        return inner[-1].value
 
     top = integrate_1d(IntegrandSpec(outer_integrand, profiles[0],
                                      spec.oscillation_scale), tol)
-    total_err = top.error_estimate + 2*top.truncation_radius*inner_err
-    return QuadratureResult(top.value, total_err, top.truncation_radius,
-                            top.panel_count + inner_panels,
-                            top.converged and inner_ok)
+    err = top.error_estimate + 2*top.truncation_radius*max(
+        float(np.max(r.error_estimate)) for r in inner)
+    return QuadratureResult(
+        top.value, err, top.truncation_radius,
+        top.panel_count + sum(r.panel_count for r in inner),
+        top.converged and all(r.converged for r in inner))
 
 
 def rotated_ray_integral(spec: IntegrandSpec, ray_angle: float, tol: float,

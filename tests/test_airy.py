@@ -1,5 +1,7 @@
 """Airy kernel: values, Wronskian, asymptotics, ratio."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -57,6 +59,13 @@ class TestAiryAi:
             assert abs(dre + 1j*dim) <= 1e-5
 
 
+#: arg z = pi/3 and its neighbours: one and two ulp either side
+_BRANCH_EDGE = [math.nextafter(math.nextafter(np.pi/3, 0), 0),
+                math.nextafter(np.pi/3, 0), np.pi/3,
+                math.nextafter(np.pi/3, 4), math.nextafter(
+                    math.nextafter(np.pi/3, 4), 4)]
+
+
 class TestWronskian:
     def test_exact_value_at_zero(self):
         expected = (airy.OMEGA - 1.0)/(2.0*np.pi*np.sqrt(3.0))
@@ -66,6 +75,28 @@ class TestWronskian:
     @pytest.mark.parametrize("z", [2.0 - 1.0j, -3.0, 5.0 + 2.0j, -4.0 + 4.0j])
     def test_constancy(self, z):
         assert abs(airy.wronskian(z) - airy.WRONSKIAN_ZERO) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.floats(0.0, 8.0),
+           theta=st.one_of(st.floats(-np.pi, np.pi),
+                           st.sampled_from(_BRANCH_EDGE)))
+    def test_constancy_property(self, r, theta):
+        # the rotation p = omega z starts just above arg z = pi/3; both
+        # formulas hold to 2e-14 there, so the bound is 1e-12, not 1e-9
+        z = r*np.exp(1j*theta)
+        assert abs(airy.wronskian(z) - airy.WRONSKIAN_ZERO) <= 1e-12
+
+    def test_branch_edge_points_take_either_side(self):
+        z = 8.0*np.exp(1j*np.array(_BRANCH_EDGE))
+        assert np.any(np.angle(z) <= np.pi/3) and np.any(np.angle(z) > np.pi/3)
+        assert np.abs(airy.wronskian(z) - airy.WRONSKIAN_ZERO).max() <= 1e-12
+
+    def test_constancy_on_a_polar_grid(self):
+        # rotating from arg z = pi/2 instead of pi/3 leaves 9e-8 here, and
+        # from pi/4 some 1e-11: the rotated sector is (pi/3, pi] and no other
+        z = (np.linspace(0.0, 8.0, 33)
+             * np.exp(1j*np.linspace(-np.pi, np.pi, 361))[:, None])
+        assert np.abs(airy.wronskian(z) - airy.WRONSKIAN_ZERO).max() <= 1e-12
 
     def test_constancy_quasirandom_disk(self):
         from grazebeam.verification import _halton
@@ -103,6 +134,100 @@ class TestAsymptotic:
             airy.airy_asymptotic(5.0*np.exp(1j*(np.pi - 1e-4)), 0)
         with pytest.raises(DomainError):
             airy.airy_asymptotic(1.0, 0)   # |z| < 2
+
+
+def _polar_asymptotic(z, order):
+    """The asymptotic form at one point with Python's polar z**1.5, z**0.25."""
+    z = complex(z)
+    zeta = (2.0/3.0)*z**1.5
+    series = sum(u*(-1.0/zeta)**n
+                 for n, u in enumerate(airy._U_COEFFS[:order + 1]))
+    return np.exp(-zeta)/(2.0*np.sqrt(np.pi)*z**0.25)*series
+
+
+#: x in [10, 40] and a polar grid |z| in [10, 30], |arg z| <= 2
+_FAR_GRIDS = {
+    "real": np.linspace(10.0, 40.0, 16).astype(complex),
+    "complex": (np.linspace(10.0, 30.0, 5)
+                * np.exp(1j*np.linspace(-2.0, 2.0, 9))[:, None]).ravel(),
+}
+
+
+@pytest.fixture(scope="module")
+def far_oracle(airy_series_oracle):
+    """Ai on each of _FAR_GRIDS by the series, with digits for cancellation.
+
+    The series cancels terms of size exp(|zeta|) down to Ai, so each point
+    gets 40 digits more than 2 |zeta|/ln 10 = 0.58 |z|^{3/2}.
+    """
+    return {name: np.array([airy_series_oracle(
+        v, dps=40 + int(0.7*abs(v)**1.5), max_terms=3000)[0] for v in z])
+        for name, z in _FAR_GRIDS.items()}
+
+
+class TestElementwise:
+    def test_airy_ai_array_equals_point_calls_bitwise(self):
+        rng = np.random.default_rng(11)
+        z = (39.0*np.sqrt(rng.uniform(size=(4, 6)))
+             * np.exp(2j*np.pi*rng.uniform(size=(4, 6))))
+        z[0, :3] = [0.0, -3.5, 20.0]
+        got = airy.airy_ai(z)
+        assert got.value.shape == got.derivative.shape == (4, 6)
+        for idx in np.ndindex(z.shape):
+            one = airy.airy_ai(z[idx])
+            assert got.value[idx] == one.value
+            assert got.derivative[idx] == one.derivative
+
+    def test_scalar_argument_gives_scalar(self):
+        for z in (2.0, 1.0 - 3.0j, np.float64(0.5), np.array(4.0 + 1j)):
+            v = airy.airy_ai(z)
+            assert np.ndim(v.value) == np.ndim(v.derivative) == 0
+            assert np.ndim(airy.wronskian(z)) == 0
+        assert isinstance(airy.airy_ai(2.0).value, complex)
+        assert np.ndim(airy.airy_asymptotic(5.0 + 1j, 3)) == 0
+
+    def test_wronskian_and_asymptotic_arrays_equal_point_calls(self):
+        z = np.array([[0.5, 6.0*np.exp(2j), -7.0], [3.0 + 3j, 1j, -2.0 - 1j]])
+        w = airy.wronskian(z)
+        assert w.shape == z.shape
+        # numpy's vector and scalar complex products may round differently
+        assert all(abs(w[i] - airy.wronskian(z[i])) <= 1e-15
+                   for i in np.ndindex(z.shape))
+        zf = np.array([2.0, 10.0 + 5j, 30.0*np.exp(-2.5j)])
+        a = airy.airy_asymptotic(zf, 4)
+        assert all(a[i] == airy.airy_asymptotic(zf[i], 4) for i in range(3))
+
+    @pytest.mark.parametrize("grid", list(_FAR_GRIDS))
+    def test_arrays_no_less_accurate_than_point_calls(self, far_oracle, grid):
+        z, ref = _FAR_GRIDS[grid], far_oracle[grid]
+        scalar = np.array([airy.airy_ai(v).value for v in z])
+        assert np.array_equal(airy.airy_ai(z).value, scalar)
+        # z^{3/2} as z sqrt(z) against Python's polar z**1.5: the two differ
+        # by roundings of zeta, which exp(-zeta) turns into relative errors
+        # of |zeta| ulp, so parity is within one rounding of the largest
+        # zeta; numpy's complex ** (cexp(1.5 clog z)) misses that bound
+        slack = (2.0/3.0)*np.abs(z).max()**1.5*2.0**-53
+        for order in (0, 3, airy.MAX_ASYMPTOTIC_ORDER):
+            e_old = np.abs([_polar_asymptotic(v, order) - r
+                            for v, r in zip(z, ref)])/np.abs(ref)
+            e_new = np.abs(airy.airy_asymptotic(z, order) - ref)/np.abs(ref)
+            assert e_new.max() <= e_old.max() + slack
+        assert e_new.max() <= 3e-14
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: airy.airy_ai(np.array([1.0, 2.0 + 1j, 40.5])), "R_MAX"),
+        (lambda: airy.airy_ai(np.array([[1.0, np.nan]])), "finite"),
+        (lambda: airy.wronskian(np.array([0.5, -41.0j])), "R_MAX"),
+        (lambda: airy.airy_asymptotic(np.array([5.0, 1.9j, 8.0]), 0),
+         r"\|z\| >= 2"),
+        (lambda: airy.airy_asymptotic(np.array([5.0, -6.0 + 1e-3j]), 0),
+         "outside"),
+    ], ids=["radius", "finite", "wronskian-radius", "asymptotic-radius",
+            "asymptotic-sector"])
+    def test_one_bad_point_refuses_the_array(self, call, match):
+        with pytest.raises(DomainError, match=match) as exc:
+            call()
+        assert "\n" not in str(exc.value)
 
 
 class TestRatio:

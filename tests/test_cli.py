@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import grazebeam
 from grazebeam import (airy, cli, grazing, quadrature, raybeam, spectral,
-                       stationary)
+                       stationary, verification)
 from grazebeam.cli import EXIT_USAGE, main
 from grazebeam.errors import DomainError
 
@@ -561,6 +561,19 @@ _REFUSALS = {
                                                                    1e-8),
     "truncation-tail": lambda: quadrature.truncation_radius(1.0, 2, 0.0),
     "truncation-power": lambda: quadrature.truncation_radius(1.0, 1, 1e-8),
+    "damping-scale-negative": lambda: quadrature.DampingProfile(
+        1.0, 2, scale=-3.0),
+    "damping-scale-zero": lambda: quadrature.DampingProfile(1.0, scale=0.0),
+    "damping-scale-nan": lambda: quadrature.DampingProfile(1.0,
+                                                           scale=math.nan),
+    "damping-scale-inf": lambda: quadrature.DampingProfile(1.0,
+                                                           scale=math.inf),
+    "truncation-scale-negative": lambda: quadrature.truncation_radius(
+        1.0, 2, 1e-8, scale=-3.0),
+    "truncation-scale-zero": lambda: quadrature.truncation_radius(
+        1.0, 2, 1e-8, scale=0.0),
+    "truncation-scale-nan": lambda: quadrature.truncation_radius(
+        1.0, 2, 1e-8, scale=math.nan),
     "integrate_1d-tol": lambda: quadrature.integrate_1d(_SPEC, 1.0),
     "integrate_nd-profiles": lambda: quadrature.integrate_nd(_SPEC, 1e-8),
     "beam_field-k": lambda: raybeam.beam_field(0.0, 0.0, 0.0, 0.0),
@@ -570,6 +583,7 @@ _REFUSALS = {
     "exact_solution-k": lambda: spectral.exact_solution(1.0, 0.0, 0.0, 0.0),
     "nu_descent-k": lambda: stationary.nu_descent(1.0, 0.0, 0.5, 0.0, 0.0,
                                                   np.exp),
+    "run_suite-name": lambda: verification.run_suite("nope"),
 }
 
 
@@ -591,8 +605,9 @@ _ONE_ARGUMENT = {
 class TestLibraryRefusals:
     @pytest.mark.parametrize("call", _REFUSALS.values(), ids=list(_REFUSALS))
     def test_refusal_is_domain_error(self, call):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             call()
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call", _ONE_ARGUMENT.values(),

@@ -1,6 +1,7 @@
 """Quadrature engine battery: analytic integrals, tails, contours."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,52 @@ class TestIntegrate1d:
         assert res.converged is False
         assert res.panel_count == 16
         assert np.isfinite(res.value) and res.error_estimate > 0
+
+    def test_one_inner_call_per_outer_evaluation(self, monkeypatch):
+        real = quad.integrate_1d
+        tols, outer_nodes, columns = [], [], []
+
+        results = []
+
+        def counting(spec, tol):
+            tols.append(tol)
+            if len(tols) == 1:      # the outer integral: count its calls
+                f = spec.evaluator
+                spec = IntegrandSpec(
+                    lambda u: outer_nodes.append(u.size) or f(u),
+                    spec.damping_profile, spec.oscillation_scale)
+            results.append(real(spec, tol))
+            return results[-1]
+
+        def fresnel(u, v):
+            columns.append(u.shape)
+            return np.exp((1j - 0.1)*(u*u + v*v))
+
+        monkeypatch.setattr(quad, "integrate_1d", counting)
+        res = integrate_nd(IntegrandSpec(
+            fresnel, (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0),
+            1e-9)
+        assert res.converged and len(outer_nodes) > 1
+        assert tols == [1e-9] + [1e-9/4.0]*len(outer_nodes)
+        # the evaluator takes u as a column of the evaluation's nodes
+        assert set(columns) == {(n, 1) for n in outer_nodes}
+        # the outer result and every inner batch's panels are counted
+        assert res.panel_count == sum(r.panel_count for r in results)
+
+    def test_any_spent_inner_budget_is_flagged(self, monkeypatch):
+        # the second of several inner batches reports a spent budget
+        real, calls = quad.integrate_1d, []
+
+        def second_spent(spec, tol):
+            calls.append(tol)
+            res = real(spec, tol)
+            return replace(res, converged=False) if len(calls) == 3 else res
+
+        monkeypatch.setattr(quad, "integrate_1d", second_spent)
+        res = integrate_nd(IntegrandSpec(
+            lambda u, v: np.exp((1j - 0.1)*(u*u + v*v)),
+            (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0), 1e-9)
+        assert len(calls) > 3 and res.converged is False
 
     @pytest.mark.parametrize("tol", [1.0, 1e300])
     def test_tol_at_least_one_refused(self, tol):
@@ -166,13 +213,59 @@ class TestIntegrateNd:
 
     def test_inner_spent_budget_is_flagged(self, monkeypatch):
         # the outer u-integral converges on 8 panels; its 120 inner
-        # v-integrals of e^{300iv - v^2} spend their 16 each: 1928 panels
+        # v-integrals of e^{300iv - v^2} are one batch, which spends its 16
         monkeypatch.setattr(quad, "_MAX_PANELS", 16)
         spec = IntegrandSpec(lambda u, v: np.exp(-u*u - v*v + 300j*v),
                              (DampingProfile(1.0, 2), DampingProfile(1.0, 2)))
         res = integrate_nd(spec, 1e-10)
         assert res.converged is False
-        assert res.panel_count == 8 + 120*16
+        assert res.panel_count == 8 + 16
+
+    def test_one_inner_call_per_outer_evaluation(self, monkeypatch):
+        real = quad.integrate_1d
+        tols, outer_nodes, columns = [], [], []
+
+        results = []
+
+        def counting(spec, tol):
+            tols.append(tol)
+            if len(tols) == 1:      # the outer integral: count its calls
+                f = spec.evaluator
+                spec = IntegrandSpec(
+                    lambda u: outer_nodes.append(u.size) or f(u),
+                    spec.damping_profile, spec.oscillation_scale)
+            results.append(real(spec, tol))
+            return results[-1]
+
+        def fresnel(u, v):
+            columns.append(u.shape)
+            return np.exp((1j - 0.1)*(u*u + v*v))
+
+        monkeypatch.setattr(quad, "integrate_1d", counting)
+        res = integrate_nd(IntegrandSpec(
+            fresnel, (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0),
+            1e-9)
+        assert res.converged and len(outer_nodes) > 1
+        assert tols == [1e-9] + [1e-9/4.0]*len(outer_nodes)
+        # the evaluator takes u as a column of the evaluation's nodes
+        assert set(columns) == {(n, 1) for n in outer_nodes}
+        # the outer result and every inner batch's panels are counted
+        assert res.panel_count == sum(r.panel_count for r in results)
+
+    def test_any_spent_inner_budget_is_flagged(self, monkeypatch):
+        # the second of several inner batches reports a spent budget
+        real, calls = quad.integrate_1d, []
+
+        def second_spent(spec, tol):
+            calls.append(tol)
+            res = real(spec, tol)
+            return replace(res, converged=False) if len(calls) == 3 else res
+
+        monkeypatch.setattr(quad, "integrate_1d", second_spent)
+        res = integrate_nd(IntegrandSpec(
+            lambda u, v: np.exp((1j - 0.1)*(u*u + v*v)),
+            (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0), 1e-9)
+        assert len(calls) > 3 and res.converged is False
 
     @pytest.mark.parametrize("tol", [1.0, 1e300])
     def test_tol_at_least_one_refused(self, tol):
@@ -323,6 +416,52 @@ class TestRotatedRay:
         assert res.converged is False
         assert res.panel_count == 16
         assert np.isfinite(res.value)
+
+    def test_one_inner_call_per_outer_evaluation(self, monkeypatch):
+        real = quad.integrate_1d
+        tols, outer_nodes, columns = [], [], []
+
+        results = []
+
+        def counting(spec, tol):
+            tols.append(tol)
+            if len(tols) == 1:      # the outer integral: count its calls
+                f = spec.evaluator
+                spec = IntegrandSpec(
+                    lambda u: outer_nodes.append(u.size) or f(u),
+                    spec.damping_profile, spec.oscillation_scale)
+            results.append(real(spec, tol))
+            return results[-1]
+
+        def fresnel(u, v):
+            columns.append(u.shape)
+            return np.exp((1j - 0.1)*(u*u + v*v))
+
+        monkeypatch.setattr(quad, "integrate_1d", counting)
+        res = integrate_nd(IntegrandSpec(
+            fresnel, (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0),
+            1e-9)
+        assert res.converged and len(outer_nodes) > 1
+        assert tols == [1e-9] + [1e-9/4.0]*len(outer_nodes)
+        # the evaluator takes u as a column of the evaluation's nodes
+        assert set(columns) == {(n, 1) for n in outer_nodes}
+        # the outer result and every inner batch's panels are counted
+        assert res.panel_count == sum(r.panel_count for r in results)
+
+    def test_any_spent_inner_budget_is_flagged(self, monkeypatch):
+        # the second of several inner batches reports a spent budget
+        real, calls = quad.integrate_1d, []
+
+        def second_spent(spec, tol):
+            calls.append(tol)
+            res = real(spec, tol)
+            return replace(res, converged=False) if len(calls) == 3 else res
+
+        monkeypatch.setattr(quad, "integrate_1d", second_spent)
+        res = integrate_nd(IntegrandSpec(
+            lambda u, v: np.exp((1j - 0.1)*(u*u + v*v)),
+            (DampingProfile(0.1, 2), DampingProfile(0.1, 2)), 14.0), 1e-9)
+        assert len(calls) > 3 and res.converged is False
 
     @pytest.mark.parametrize("tol", [1.0, 1e300])
     def test_tol_at_least_one_refused(self, tol):
