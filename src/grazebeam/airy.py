@@ -187,8 +187,8 @@ def airy_asymptotic(z, order: int = 0):
     z = np.asarray(z, dtype=complex)
     if order < 0 or order > MAX_ASYMPTOTIC_ORDER:
         raise DomainError("order must be in [0, %d]" % MAX_ASYMPTOTIC_ORDER)
-    if (np.abs(z) < 2.0).any():
-        raise DomainError("asymptotic form requires |z| >= 2")
+    if not (np.isfinite(z) & (np.abs(z) >= 2.0)).all():
+        raise DomainError("asymptotic form requires finite z with |z| >= 2")
     arg = np.abs(np.angle(z)).max(initial=0.0)
     if arg >= np.pi - 0.01:
         raise DomainError("|arg z| = %.3f outside |arg z| < pi - 0.01" % arg)

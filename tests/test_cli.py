@@ -599,6 +599,11 @@ _ONE_ARGUMENT = {
     "beam_field-y": lambda v: raybeam.beam_field(0.0, v, 0.0, 10.0),
     "beam_field-t": lambda v: raybeam.beam_field(0.0, 0.0, v, 10.0),
     "beam_field-k": lambda v: raybeam.beam_field(0.0, 0.0, 0.0, v),
+    "airy_ai": airy.airy_ai,
+    "wronskian": airy.wronskian,
+    "airy_asymptotic": airy.airy_asymptotic,
+    "airy_asymptotic-array": lambda v: airy.airy_asymptotic(
+        np.array([5.0, v]), 2),
 }
 
 
