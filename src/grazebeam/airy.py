@@ -2,7 +2,9 @@
 
 Everything downstream (the spectral quotient, the reciprocal Wronskian
 factor, the grazing-amplitude integrals) reduces to four ingredients, each
-elementwise on arrays (a scalar argument gives a scalar):
+elementwise on arrays (a scalar argument gives a scalar).  Every public
+kernel refuses a non-finite point, or one beyond R_MAX sent to AMOS, with
+:class:`DomainError` through one check:
 
 * Ai and Ai' on a bounded disk |z| <= R_MAX, evaluated by the AMOS library
   (Amos 1986, ACM TOMS 12:265) through scipy (relative accuracy ~1e-13
@@ -143,20 +145,21 @@ class AiryValue:
     derivative: Union[complex, np.ndarray]
 
 
-def _check_radius(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
+def _check(z, dtype=complex, radius=np.inf) -> np.ndarray:
+    """z as an array of ``dtype``, refused unless finite with |z| <= radius."""
+    z = np.asarray(z, dtype=dtype)
     if not np.isfinite(z).all():
         raise DomainError("argument must be finite")
-    if np.abs(z).max(initial=0.0) > R_MAX:
+    if radius < np.inf and np.abs(z).max(initial=0.0) > radius:
         raise DomainError(
             "|z| = %.3g outside the supported evaluation radius R_MAX = %.3g"
-            % (np.abs(z).max(), R_MAX))
+            % (np.abs(z).max(), radius))
     return z
 
 
 def airy_ai(z) -> AiryValue:
     """Ai(z) and Ai'(z) for complex z with |z| <= R_MAX, elementwise."""
-    ai, aip, _, _ = sp.airy(_check_radius(z))
+    ai, aip, _, _ = sp.airy(_check(z, radius=R_MAX))
     return AiryValue(ai[()], aip[()])
 
 
@@ -184,11 +187,11 @@ def airy_asymptotic(z, order: int = 0):
     z^{3/2} = z sqrt(z) and z^{1/4} = sqrt(sqrt(z)), elementwise.  Valid in
     the sector |arg z| < pi - 0.01 and for |z| >= 2.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _check(z)
     if order < 0 or order > MAX_ASYMPTOTIC_ORDER:
         raise DomainError("order must be in [0, %d]" % MAX_ASYMPTOTIC_ORDER)
-    if not (np.isfinite(z) & (np.abs(z) >= 2.0)).all():
-        raise DomainError("asymptotic form requires finite z with |z| >= 2")
+    if np.abs(z).min(initial=np.inf) < 2.0:
+        raise DomainError("asymptotic form requires |z| >= 2")
     arg = np.abs(np.angle(z)).max(initial=0.0)
     if arg >= np.pi - 0.01:
         raise DomainError("|arg z| = %.3f outside |arg z| < pi - 0.01" % arg)
@@ -205,7 +208,7 @@ def ray_exponent(q):
     q < 0 (arg z = 2 pi/3): the exponent by which ``sp.airye`` and
     :func:`ai_scaled_on_ray` scale Ai.
     """
-    q = np.asarray(q, dtype=float)
+    q = _check(q, float)
     aq = np.abs(q)
     r = (2.0/3.0)*aq*np.sqrt(aq)
     return np.where(q >= 0, -1j*r, -r + 0j)
@@ -235,7 +238,7 @@ def ai_scaled_on_ray(q):
     see the module docstring for the truncation and the accuracy of each
     branch.
     """
-    q = np.asarray(q, dtype=float)
+    q = _check(q, float)
     out = np.empty(q.shape, dtype=complex)
     far = np.abs(q) >= RATIO_CROSSOVER
     if far.any():
@@ -270,7 +273,7 @@ def ratio_on_ray(q):
     omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)), w = -q.  Ai has no
     zeros on the ray, so no proximity guard is needed.
     """
-    q = np.asarray(q, dtype=float)
+    q = _check(q, float)
     out = np.empty(q.shape, dtype=complex)
     far = np.abs(q) >= RATIO_CROSSOVER
     if far.any():
@@ -330,7 +333,7 @@ def airy_ratio(z):
     modulus so the test is meaningful in the decaying sector as well.
     """
     scalar = np.isscalar(z) or np.ndim(z) == 0
-    zv = np.atleast_1d(np.asarray(z, dtype=complex))
+    zv = np.atleast_1d(_check(z))
     out = np.empty_like(zv)
     inside = np.abs(zv) < RATIO_CROSSOVER
     far = ~inside & (np.abs(np.angle(zv)) <= _SECTOR)
@@ -343,13 +346,8 @@ def airy_ratio(z):
         out[near] = _ratio_near_ray(np.conj(RAY)*zv[near])
     direct = ~(far | near)
     if direct.any():
-        zs = zv[direct]
-        if np.abs(zs).max() > R_MAX:
-            raise DomainError(
-                "Ai'/Ai requested at |z| > R_MAX = %.3g outside the sector "
-                "|arg z| <= 2 pi/3 of its asymptotic series" % R_MAX)
         # Ai and Ai' carry the same scale factor, which cancels in the ratio
-        eai, eaip, _, _ = sp.airye(zs)
+        eai, eaip, _, _ = sp.airye(_check(zv[direct], radius=R_MAX))
         if np.any(np.abs(eai) < _ZERO_PROXIMITY):
             raise DomainError(
                 "evaluation too close to a zero of Ai (scaled |Ai| < %.1e)"

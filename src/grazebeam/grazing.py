@@ -70,8 +70,8 @@ def quartic_moment(b: complex) -> complex:
     axis by analyticity.
     """
     b = complex(b)
-    if b.real <= 0:
-        raise DomainError("quartic moment requires Re b > 0")
+    if not (b.real > 0 and np.isfinite(b)):
+        raise DomainError("quartic moment requires finite b with Re b > 0")
     return 0.25*math.sqrt(math.pi)*b**-0.5
 
 

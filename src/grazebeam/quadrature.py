@@ -208,7 +208,7 @@ def _window(spec: IntegrandSpec, tol: float) -> float:
         raise DomainError("tol must lie in (0, 1)")
     prof = spec.damping_profile
     if not isinstance(prof, DampingProfile):
-        raise TypeError("expected a single DampingProfile")
+        raise DomainError("expected a single DampingProfile")
     return truncation_radius(prof.coefficient, prof.power, tol/10.0,
                              prof.scale)
 

@@ -186,8 +186,8 @@ def series_r(x: float) -> np.ndarray:
     (r, r_z, r_zz) = (-1, 0, 1/4) universally;
     r_zzz = (3/8)(1 - x)/sqrt(x) and r_zzzz = (15/16)(x - 1 + 1/x).
     """
-    if x <= 0:
-        raise DomainError("series defined for x > 0")
+    if not 0 < x < math.inf:
+        raise DomainError("series defined for finite x > 0")
     sx = math.sqrt(x)
     return np.array([-1.0, 0.0, 0.25, (3.0/8.0)*(1.0 - x)/sx,
                      (15.0/16.0)*(x - 1.0 + 1.0/x)])
@@ -207,8 +207,8 @@ def series_phi(x: float) -> np.ndarray:
     (phi, phi_z, phi_zz, phi_zzz, phi_zzzz) =
     (-y - (y-z)^3/12, 0, 0, -1/4, -(3/8)(1 - x)/sqrt(x)).
     """
-    if x <= 0:
-        raise DomainError("series defined for x > 0")
+    if not 0 < x < math.inf:
+        raise DomainError("series defined for finite x > 0")
     sx = math.sqrt(x)
     return np.array([-2.0*sx - (2.0/3.0)*x*sx, 0.0, 0.0, -0.25,
                      -(3.0/8.0)*(1.0 - x)/sx])

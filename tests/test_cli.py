@@ -278,6 +278,7 @@ class TestInvalidInput:
         ("graze", "w", "--x", "0.5,inf", "--method", "closed"),
         ("graze", "w", "--x", "0:inf:1", "--method", "closed"),
         ("graze", "w", "--x", "1", "--k", "nan", "--method", "u-integral"),
+        ("graze", "w", "--x", "1", "--k", "nan", "--method", "closed"),
         ("graze", "w", "--x", "1", "--tol", "nan", "--method", "u-integral"),
         ("beam", "field", "--x", "0", "--y", "0", "--t", "0", "--k", "nan"),
         ("ray", "trace", "--y=-inf"),
@@ -328,6 +329,17 @@ class TestInvalidInput:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("k", ["abc", "1,,x"])
+    def test_k_parsed_for_the_closed_method(self, capsys, k):
+        # the closed form takes no k, but a bad --k is still a usage error
+        code = main(["graze", "w", "--x", "1", "--method", "closed",
+                     "--k", k])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("usage error: cannot parse values")
 
     def test_z_route_names_unresolvable_x(self, capsys):
         # 1 + x rounds to 1: name x, not a quantity the user never gave
@@ -431,6 +443,10 @@ _RANGE = st.builds(lambda a, n, h: "%r:%r:%r" % (a, a + n*h, h), _MODERATE,
 _ANY_RANGE = st.tuples(_VALUE, _VALUE, _VALUE).map(":".join)
 _VALUES = st.one_of(_LIST, _LIST, _RANGE, _RANGE,
                     st.one_of(st.sampled_from(["", ",", " , "]), _ANY_RANGE))
+# positive x, which the integral routes accept: about half the examples of
+# TestArbitraryInput's route test then reach a quadrature
+_POSITIVE_LIST = st.lists(st.floats(1e-3, 8.0).map(repr), min_size=1,
+                          max_size=3).map(",".join)
 _COMMANDS = {
     "ray trace": lambda v, k: ["ray", "trace", "--y=" + v[0]],
     "beam on-ray": lambda v, k: ["beam", "on-ray", "--x=" + v[0]],
@@ -438,7 +454,7 @@ _COMMANDS = {
                                 "--y=" + v[1], "--t=" + v[2], "--k=" + k],
     "graze reflected": lambda v, k: ["graze", "reflected", "--x=" + v[0]],
     "graze w closed": lambda v, k: ["graze", "w", "--x=" + v[0],
-                                    "--method", "closed"],
+                                    "--k=" + v[1], "--method", "closed"],
 }
 
 
@@ -452,14 +468,30 @@ class TestArbitraryInput:
            k=st.one_of(st.floats(0.01, 1e3).map(repr), _VALUE))
     def test_exit_0_with_finite_rows_or_exit_1_with_one_line(self, command,
                                                              values, k):
+        self._finite_rows_or_one_line(command(values, k), (0, 1))
+
+    # each example runs a quadrature per cell, so few examples and few k
+    @pytest.mark.parametrize("method", ["u-integral", "z-integral"])
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(x=st.one_of(_VALUES, _POSITIVE_LIST),
+           k=st.sampled_from(["1000", "1e4", "1e5,1e3"]))
+    def test_integral_routes_give_finite_rows_or_one_line(self, method, x,
+                                                          k):
+        # exit 2 flags a non-converged row, whose fields are still finite
+        self._finite_rows_or_one_line(
+            ["graze", "w", "--x=" + x, "--k=" + k, "--method", method],
+            (0, 1, 2))
+
+    @staticmethod
+    def _finite_rows_or_one_line(argv, codes):
         out, err = io.StringIO(), io.StringIO()
         # a small value budget keeps each example fast; the limit itself is
         # tested in TestInvalidInput
         with mock.patch.object(cli, "MAX_VALUES", 64), \
                 contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            code = main(command(values, k))
-        assert code in (0, 1)
+            code = main(argv)
+        assert code in codes
         if code == 1:
             assert out.getvalue() == ""
             assert len(err.getvalue().splitlines()) == 1
@@ -575,6 +607,9 @@ _REFUSALS = {
     "truncation-scale-nan": lambda: quadrature.truncation_radius(
         1.0, 2, 1e-8, scale=math.nan),
     "integrate_1d-tol": lambda: quadrature.integrate_1d(_SPEC, 1.0),
+    "integrate_1d-profiles": lambda: quadrature.integrate_1d(
+        quadrature.IntegrandSpec(np.exp, (quadrature.DampingProfile(1.0),)*2),
+        1e-8),
     "integrate_nd-profiles": lambda: quadrature.integrate_nd(_SPEC, 1e-8),
     "beam_field-k": lambda: raybeam.beam_field(0.0, 0.0, 0.0, 0.0),
     "beam_on_ray-x": lambda: raybeam.beam_on_ray(-1.0),
@@ -604,6 +639,26 @@ _ONE_ARGUMENT = {
     "airy_asymptotic": airy.airy_asymptotic,
     "airy_asymptotic-array": lambda v: airy.airy_asymptotic(
         np.array([5.0, v]), 2),
+    "ray_exponent": airy.ray_exponent,
+    "ray_exponent-array": lambda v: airy.ray_exponent(
+        np.array([-9.0, 1.0, v, 20.0])),
+    "ai_scaled_on_ray": airy.ai_scaled_on_ray,
+    "ai_scaled_on_ray-array": lambda v: airy.ai_scaled_on_ray(
+        np.array([-9.0, 1.0, v, 20.0])),
+    "ratio_on_ray": airy.ratio_on_ray,
+    "ratio_on_ray-array": lambda v: airy.ratio_on_ray(
+        np.array([-9.0, 1.0, v, 20.0])),
+    "airy_ratio": airy.airy_ratio,
+    "airy_ratio-array": lambda v: airy.airy_ratio(
+        np.array([-9.0, 1.0 + 1j, v, 20.0 - 5j])),
+    "airy_quotient-x": lambda v: spectral.airy_quotient(v, 0.5, -1.0, 100.0),
+    "airy_quotient-mu": lambda v: spectral.airy_quotient(1.0, v, -1.0, 100.0),
+    # nu >= 0 is refused by its own rule, so nu = inf is taken as -inf
+    "airy_quotient-nu": lambda v: spectral.airy_quotient(1.0, 0.5, -abs(v),
+                                                         100.0),
+    "series_r": stationary.series_r,
+    "series_phi": stationary.series_phi,
+    "quartic_moment": grazing.quartic_moment,
 }
 
 
@@ -666,7 +721,24 @@ class TestOutput:
         assert code == 0
         assert target.read_text().startswith("y,x,t,xi,eta,tau")
 
-    def test_unwritable_out_is_io_error(self, capsys):
-        code, _ = run_cli(capsys, "ray", "trace", "--y", "0:1:0.5",
-                          "--out", "/nonexistent-dir/trace.csv")
-        assert code == 3
+    @staticmethod
+    def _one_io_error_line(tmp_path, capsys, *argv):
+        target = tmp_path/"missing-dir"/"out.txt"
+        code = main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+        assert str(target) in lines[0]
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        self._one_io_error_line(tmp_path, capsys, "ray", "trace", "--y",
+                                "0:1:0.5")
+
+    # the other writers of --out report through the same handler in main
+    @pytest.mark.parametrize("argv", [
+        ("graze", "w", "--x", "1", "--method", "u-integral"),
+        ("verify", "closedform")], ids=["graze-w", "verify"])
+    def test_unwritable_out_is_one_io_error_line(self, tmp_path, capsys,
+                                                 argv):
+        self._one_io_error_line(tmp_path, capsys, *argv)
