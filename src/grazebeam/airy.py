@@ -10,7 +10,10 @@ kernel refuses a non-finite point, or one beyond R_MAX sent to AMOS, with
   (Amos 1986, ACM TOMS 12:265) through scipy (relative accuracy ~1e-13
   there, including the sector near the positive real axis where Ai is
   maximally subdominant and series summation in double precision cannot
-  reach 1e-10);
+  reach 1e-10).  ``scipy.special`` is imported inside the two functions
+  that call AMOS, :func:`airy_ai` and the off-band points of
+  :func:`airy_ratio`, so a process that evaluates Ai only on or near the
+  ray never loads it (about 0.2 s and 20 MB);
 * the large-|z| asymptotic form with its correction series, valid in the
   sector |arg z| < pi - 0.01;
 * the exponentially scaled Ai(z) exp(2 z^{3/2}/3) on the ray
@@ -25,15 +28,24 @@ kernel refuses a non-finite point, or one beyond R_MAX sent to AMOS, with
     5 at 100.  On the Stokes line (q < 0) the neglected exponential adds
     exp(-4|q|^{3/2}/3) ~ 8e-14 at |q| = 8.  Measured against mpmath on
     q in [-60, 60]: 5.8e-14 relative for q <= -8 and 7.7e-15 for q >= 8;
-  - |q| < RATIO_CROSSOVER: with w = -q real, z = omega w and the connection
-    formula Ai(omega w) = e^{i pi/3}(Ai(w) - i Bi(w))/2 (DLMF 9.2.11)
-    reduces Ai to the real-argument Cephes routines.  Ai(w) and Bi(w) are
-    O(1) for w < 0 and Bi dominates for w > 0, so nothing cancels; the
-    branch includes q = 0, where it gives Ai(0).  Measured: 4.3e-15
-    relative, against 2.6e-14 for AMOS on the same points.
+  - |q| < RATIO_CROSSOVER: F(q) = Ai(e^{-i pi/3} q) from one Taylor table,
+    times exp((2/3) z^{3/2}).  On the ray Ai'' = z Ai (DLMF 9.2.1) reads
+    F'' = -q F, so the Taylor coefficients at any centre follow from F
+    and F' there.  The table holds, for the 33 centres q_j = j/2, those
+    of h^0 .. h^18 in F(q_j + h); a point takes the centre nearest it
+    (|h| <= 1/4) and one Horner loop, which gives F' as well.  It is built
+    at import, in about 0.6 ms, by marching F'' = -q F outward from
+    Ai(0) = 3^{-2/3}/Gamma(2/3) and Ai'(0) = -3^{-1/3}/Gamma(1/3) in
+    steps of 1/2, each an order-40 series (the ODE-Taylor method; Gil,
+    Segura and Temme, Numerical Methods for Special Functions, SIAM
+    2007).  Both directions are stable: F oscillates for q > 0 and is
+    the dominant solution for q < 0.  Measured against 40-digit mpmath
+    on 1,665 points of (-8, 8), cell edges included: 8e-16 relative for
+    F, and 3.2e-15 for the scaled value, whose phase (2/3) q^{3/2} ~ 15
+    is rounded by about 2 ulp.
 
   A far point costs a square root, a division and n + 1 real
-  multiply-adds, 0.04-0.06 us; a near one 0.3 us, against 3-10 us for
+  multiply-adds, 0.04-0.06 us; a near one 0.1 us, against 3-10 us for
   ``sp.airye`` (AMOS), which computes Ai, Ai', Bi and Bi' at once;
 * the logarithmic derivative Ai'/Ai, from one quotient of series for
   |z| >= 8: -sqrt(z) sum v_n s^n / sum u_n s^n with s = -1/zeta and
@@ -42,13 +54,10 @@ kernel refuses a non-finite point, or one beyond R_MAX sent to AMOS, with
   points:
 
   - :func:`ratio_on_ray` (the u-integral, z = e^{-i pi/3} q, q real):
-    the series for |q| >= RATIO_CROSSOVER; inside, from the connection formula
-    above, omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)) with w = -q.
-    The split is at 8 because scipy's real ``airy`` hands |w| > 10 to
-    AMOS (2.5 us a point on [-16, -8], against 0.1 us on [-8, 0]).
-    Measured against mpmath: 1.6e-14 relative for q in [0, 100], 1.1e-15
-    for -8 < q < 0 and 1.2e-13 for q <= -8 (the Stokes line again).
-    0.13-0.19 us a point for q >= 0, where the AMOS ratio cost 1.2-9 us;
+    the series for |q| >= RATIO_CROSSOVER; inside, e^{i pi/3} F'/F from
+    the table.  Measured against mpmath: 8.8e-16 relative for |q| < 8,
+    1.6e-14 for q in [8, 100] and 1.2e-13 for q <= -8 (the Stokes line
+    again); 0.1 us a near point, against 1.2-9 us for the AMOS ratio;
   - :func:`airy_ratio` (general complex z, the z-route): the series for
     |z| >= RATIO_CROSSOVER (= 8) in the sector |arg z| <= 2 pi/3.
     Towards the negative real axis the series fails (|arg z| < pi is its
@@ -56,9 +65,9 @@ kernel refuses a non-finite point, or one beyond R_MAX sent to AMOS, with
     mpmath for |z| in [8, 40]: 2.8e-14 relative for |arg z| <= 1.6,
     1.2e-13 towards arg z = +-2 pi/3, and 5e-16 from |z| = 10 on;
     0.2 us a point.  Inside |z| < 8, a point within |Im q| <= 0.25 of
-    the ray (q = e^{i pi/3} z) is continued from :func:`ratio_on_ray` at
-    Re q by a Taylor series of Ai of order 16 (Ai'' = z Ai, DLMF 9.2.1):
-    2e-15 relative against mpmath over the band, 0.4 us a point.  On
+    the ray (q = e^{i pi/3} z) takes F'/F from the same table at complex
+    h (|h| <= 0.36, where order 18 leaves ~1e-17): 2e-15 relative
+    against mpmath over the band, most of it the rounding of q.  On
     x in [0.25, 4] at k = 1e3-1e5 every z-route point with |z| < 8 lies
     in the band; at k <= 1e3 and x outside that range some do not.  The
     rest is the quotient of the two ``sp.airye`` values while
@@ -71,11 +80,11 @@ it implements the reciprocal trick used to invert Ai on the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError
 
@@ -131,10 +140,51 @@ _SECTOR = 2.0*np.pi/3.0 + 1e-9
 # |scaled Ai| below this flags proximity to a zero of Ai
 _ZERO_PROXIMITY = 1e-12
 
-# |Im q| of q = e^{i pi/3} z up to which airy_ratio continues Ai'/Ai from
-# the ray by a Taylor series of Ai, and the order of that series
+# |Im q| of q = e^{i pi/3} z up to which airy_ratio takes Ai'/Ai from the
+# ray's Taylor table
 _RAY_BAND = 0.25
-_RAY_TAYLOR_ORDER = 16
+
+# the Taylor table of F(q) = Ai(e^{-i pi/3} q): centres q_j = j/2 for
+# |j| <= 16, the order of each row, and the order of the steps that build it
+_TABLE_STEP = 0.5
+_TABLE_HALF = int(RATIO_CROSSOVER/_TABLE_STEP)
+_TABLE_ORDER = 18
+_MARCH_ORDER = 40
+
+
+def _ray_taylor(a0, a1, c: float) -> list:
+    """a_0 .. a_40 of F(c + h) = sum a_n h^n, given a_0 = F(c), a_1 = F'(c).
+
+    From F'' = -q F: (n+1)(n+2) a_{n+2} = -(c a_n + a_{n-1}), a_{-1} = 0.
+    """
+    a = [a0, a1]
+    for n in range(_MARCH_ORDER - 1):
+        a.append(-(c*a[n] + (a[n - 1] if n else 0.0))/((n + 1)*(n + 2)))
+    return a
+
+
+def _build_ray_table() -> np.ndarray:
+    """Rows n = 0..18 of the table, one column per centre q_j, j = -16..16.
+
+    Marched outward from F(0) = Ai(0) and F'(0) = e^{-i pi/3} Ai'(0)
+    (DLMF 9.2.3, 9.2.4); see the module docstring.
+    """
+    start = _ray_taylor(complex(3.0**(-2.0/3.0)/math.gamma(2.0/3.0)),
+                        -RAY*3.0**(-1.0/3.0)/math.gamma(1.0/3.0), 0.0)
+    cols = {0: start}
+    for sign in (1, -1):
+        a, h = start, sign*_TABLE_STEP
+        for j in range(sign, sign*(_TABLE_HALF + 1), sign):
+            value = slope = 0.0
+            for c in reversed(a):
+                slope = slope*h + value
+                value = value*h + c
+            a = cols[j] = _ray_taylor(value, slope, j*_TABLE_STEP)
+    return np.array([cols[j][:_TABLE_ORDER + 1]
+                     for j in range(-_TABLE_HALF, _TABLE_HALF + 1)]).T.copy()
+
+
+_RAY_TABLE = _build_ray_table()
 
 
 @dataclass(frozen=True)
@@ -159,6 +209,7 @@ def _check(z, dtype=complex, radius=np.inf) -> np.ndarray:
 
 def airy_ai(z) -> AiryValue:
     """Ai(z) and Ai'(z) for complex z with |z| <= R_MAX, elementwise."""
+    from scipy import special as sp
     ai, aip, _, _ = sp.airy(_check(z, radius=R_MAX))
     return AiryValue(ai[()], aip[()])
 
@@ -234,9 +285,8 @@ def ai_scaled_on_ray(q):
     """Ai(z) exp((2/3) z^{3/2}) at z = e^{-i pi/3} q for real q, elementwise.
 
     The same value as ``sp.airye(z)[0]``, from the asymptotic series for
-    |q| >= RATIO_CROSSOVER and the real-argument connection formula inside;
-    see the module docstring for the truncation and the accuracy of each
-    branch.
+    |q| >= RATIO_CROSSOVER and the ray's Taylor table inside; see the
+    module docstring for the truncation and the accuracy of each branch.
     """
     q = _check(q, float)
     out = np.empty(q.shape, dtype=complex)
@@ -259,9 +309,7 @@ def ai_scaled_on_ray(q):
     near = ~far
     if near.any():
         qn = q[near]
-        ai, _, bi, _ = sp.airy(-qn)
-        out[near] = (0.5*np.exp(1j*np.pi/3.0)*(ai - 1j*bi)
-                     * np.exp(ray_exponent(qn)))
+        out[near] = _ray_table(qn)[0]*np.exp(ray_exponent(qn))
     return out[()]
 
 
@@ -269,9 +317,8 @@ def ratio_on_ray(q):
     """Ai'(z)/Ai(z) at z = e^{-i pi/3} q for real q, elementwise.
 
     |q| >= RATIO_CROSSOVER: the quotient of the DLMF 9.7.5 and 9.7.6 series;
-    inside, the real-argument connection formula
-    omega-bar (Ai'(w) - i Bi'(w)) / (Ai(w) - i Bi(w)), w = -q.  Ai has no
-    zeros on the ray, so no proximity guard is needed.
+    inside, the ray's Taylor table.  Ai has no zeros on the ray, so no
+    proximity guard is needed.
     """
     q = _check(q, float)
     out = np.empty(q.shape, dtype=complex)
@@ -280,8 +327,7 @@ def ratio_on_ray(q):
         out[far] = _ratio_series(RAY*q[far])
     near = ~far
     if near.any():
-        ai, aip, bi, bip = sp.airy(-q[near])
-        out[near] = np.conj(OMEGA)*(aip - 1j*bip)/(ai - 1j*bi)
+        out[near] = _ratio_table(q[near])
     return out[()]
 
 
@@ -296,27 +342,30 @@ def _ratio_series(z):
     return -root*_horner(_V_COEFFS[:n + 1], s)/_horner(_U_COEFFS[:n + 1], s)
 
 
-def _ratio_near_ray(q):
-    """Ai'(z)/Ai(z) at z = e^{-i pi/3} q for complex q near the real axis.
+def _ray_table(q, slope: bool = False):
+    """F(q) = Ai(e^{-i pi/3} q), and F'(q) if ``slope`` (else None).
 
-    Continues from the ray point z0 = e^{-i pi/3} Re q, where
-    :func:`ratio_on_ray` gives R0 = Ai'/Ai(z0), to z = z0 + h with
-    h = e^{-i pi/3} i Im q: P(h) = Ai(z0 + h)/Ai(z0) = sum a_n h^n has
-    a_0 = 1, a_1 = R0 and (n+1)(n+2) a_{n+2} = z0 a_n + a_{n-1}, from
-    Ai'' = z Ai (DLMF 9.2.1), and the ratio is P'(h)/P(h).
+    q is an array with |Re q| < RATIO_CROSSOVER, real or complex; one
+    Horner loop in h = q - q_j from the centre q_j nearest Re q.
     """
-    z0 = RAY*q.real
-    h = (RAY*1j)*q.imag
-    # summed upwards, holding three coefficients: a_{n-3}, a_{n-2}, a_{n-1}
-    # and h^{n-1} on entry to step n
-    a2, a1, a = 0.0, 1.0, ratio_on_ray(q.real)
-    p, dp, hn = 1.0 + a*h, a.copy(), h.copy()
-    for n in range(2, _RAY_TAYLOR_ORDER + 1):
-        a2, a1, a = a1, a, (z0*a1 + a2)/(n*(n - 1))
-        dp += n*a*hn
-        hn *= h
-        p += a*hn
-    return dp/p
+    j = np.rint(q.real/_TABLE_STEP)
+    h = q - _TABLE_STEP*j
+    col = (j + _TABLE_HALF).astype(np.intp)
+    value = _RAY_TABLE[-1].take(col)
+    deriv = np.zeros_like(value) if slope else None
+    for row in _RAY_TABLE[-2::-1]:
+        if slope:
+            deriv *= h
+            deriv += value
+        value *= h
+        value += row.take(col)
+    return value, deriv
+
+
+def _ratio_table(q):
+    """Ai'(z)/Ai(z) at z = e^{-i pi/3} q from the table: e^{i pi/3} F'/F."""
+    value, deriv = _ray_table(q, slope=True)
+    return deriv*np.conj(RAY)/value
 
 
 def airy_ratio(z):
@@ -325,7 +374,7 @@ def airy_ratio(z):
     Points with |z| >= RATIO_CROSSOVER and |arg z| <= 2 pi/3 are summed from
     the differentiated asymptotic series (DLMF 9.7.5, 9.7.6).  Points with
     |z| < RATIO_CROSSOVER within |Im q| <= 0.25 of the ray z = e^{-i pi/3} q
-    are continued from it by :func:`_ratio_near_ray`; the zeros of Ai lie
+    come from the ray's Taylor table at complex q; the zeros of Ai lie
     on the negative real axis, at least 2.02 from the ray, so none of them
     is near.  The others are formed directly from AMOS, which covers
     |z| <= R_MAX.  Arguments too close to a zero of Ai raise
@@ -343,9 +392,10 @@ def airy_ratio(z):
     near = inside & (np.abs(RAY.real*zv.imag - RAY.imag*zv.real)
                      <= _RAY_BAND)
     if near.any():
-        out[near] = _ratio_near_ray(np.conj(RAY)*zv[near])
+        out[near] = _ratio_table(np.conj(RAY)*zv[near])
     direct = ~(far | near)
     if direct.any():
+        from scipy import special as sp
         # Ai and Ai' carry the same scale factor, which cancels in the ratio
         eai, eaip, _, _ = sp.airye(_check(zv[direct], radius=R_MAX))
         if np.any(np.abs(eai) < _ZERO_PROXIMITY):

@@ -25,6 +25,7 @@ they share the slowly converging Airy-ratio factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -54,8 +55,11 @@ __all__ = [
 #: misses the oracle by 5.9% (X = 3) to 61% (X = 0.3) at k = 1e3
 _Z_LAYER_X0 = 10.0
 
-#: window of the u-integral's damping e^{-u^4/32}, tail below 1e-14
-_U_WINDOW = truncation_radius(1.0/32.0, 4, 1e-14)
+
+@functools.cache
+def _u_window() -> float:
+    """Window of the u-integral's damping e^{-u^4/32}, tail below 1e-14."""
+    return truncation_radius(1.0/32.0, 4, 1e-14)
 
 
 def constant_c() -> complex:
@@ -120,9 +124,10 @@ def u_integral(x: float, k, tol: float = 1e-9) -> QuadratureResult:
         bracket = 0.5j*u - k112*airy.OMEGA*airy.ratio_on_ray((u*u/4.0)*k16)
         return bracket*np.exp(1j*a*((u*u)*(u*u)))
 
-    osc = 4.0*abs(a)*_U_WINDOW**3 + 1.0
+    window = _u_window()
+    osc = 4.0*abs(a)*window**3 + 1.0
     spec = IntegrandSpec(f, DampingProfile(
-        1.0/32.0, 4, scale=float(np.max(4.0*_U_WINDOW*k112*k16))), osc)
+        1.0/32.0, 4, scale=float(np.max(4.0*window*k112*k16))), osc)
     res = integrate_1d(spec, tol)
     c = constant_c()
     value = c/x**0.25*res.value

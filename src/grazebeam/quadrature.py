@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .errors import DomainError
 
@@ -132,6 +131,7 @@ def truncation_radius(damping_coefficient: float, power: int, tail_tol: float,
     decreasing in the coefficient.  Raises :class:`DomainError` where
     :class:`DampingProfile` does, and when R exceeds 1e8.
     """
+    from scipy.special import wrightomega
     DampingProfile(damping_coefficient, power, scale)  # its entry checks
     if not tail_tol > 0:
         raise DomainError("tail tolerance must be positive")

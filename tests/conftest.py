@@ -9,6 +9,7 @@ run on the RK4 engine of :mod:`grazebeam.verification`, which
 
 import mpmath as mp
 import pytest
+import scipy.special
 
 
 def series_airy(z, dps=40, min_terms=40, max_terms=400):
@@ -50,3 +51,16 @@ def series_airy(z, dps=40, min_terms=40, max_terms=400):
 @pytest.fixture(scope="session")
 def airy_series_oracle():
     return series_airy
+
+
+@pytest.fixture
+def no_scipy_airy(monkeypatch):
+    """Make every call of scipy's Airy routines fail the test.
+
+    The kernels import ``scipy.special`` where they call it, so patching the
+    module reaches every call.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy Airy routine called")
+    for name in ("airy", "airye", "itairy"):
+        monkeypatch.setattr(scipy.special, name, refuse)

@@ -292,10 +292,7 @@ class TestRatioSeries:
         bound = np.where(edge, 2e-13, 5e-14)
         assert np.all(np.abs(got - ref) <= bound*np.abs(ref))
 
-    def test_sector_makes_no_amos_call(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("sp.airye called in the series sector")
-        monkeypatch.setattr(airy.sp, "airye", refuse)
+    def test_sector_makes_no_amos_call(self, no_scipy_airy):
         z = (self._MODS[:, None]*np.exp(1j*self._ARGS)).ravel()
         assert np.all(np.isfinite(airy.airy_ratio(z)))
         # e^{-i pi/3} q with q < 0 is on arg z = 2 pi/3 up to rounding
@@ -339,15 +336,13 @@ class TestRatioNearRay:
         assert np.all(np.abs(z) < airy.RATIO_CROSSOVER)
         return z
 
-    def test_matches_mpmath_without_amos(self, monkeypatch):
-        # measured: 2.0e-15 at q = -7.95 + 0.25i, 3e-16 median
-        def refuse(*args):
-            raise AssertionError("sp.airye called near the ray")
-        monkeypatch.setattr(airy.sp, "airye", refuse)
+    def test_matches_mpmath_without_amos(self, no_scipy_airy):
+        # the ray's Taylor table at complex q; measured 2.0e-15 at
+        # q = -7.95 + 0.25i, most of it the rounding of z = e^{-i pi/3} q
         z = self._band_points()
         got = airy.airy_ratio(z)
         ref = np.array([_ratio_mpmath(v) for v in z])
-        assert np.all(np.abs(got - ref) <= 1e-13*np.abs(ref))
+        assert np.all(np.abs(got - ref) <= 1e-14*np.abs(ref))
 
     def test_outside_the_band_is_amos(self):
         # |Im q| = 0.3: the quotient of the two AMOS values, bit for bit
@@ -495,19 +490,57 @@ class TestRatioOnRay:
         for got in (airy.ratio_on_ray(q), airy.airy_ratio(z)):
             assert np.all(np.abs(got - ref) <= 1e-13*np.abs(ref))
 
-    def test_real_airy_stays_below_ray_radius(self, monkeypatch):
-        # scipy's real airy hands |w| > 10 to AMOS; the near branch stops
-        # at |q| = 8, and nothing calls the complex AMOS routine
-        seen = []
-        real_airy = airy.sp.airy
+    def test_real_airy_stays_below_ray_radius(self, no_scipy_airy):
+        # the ray needs no scipy Airy routine: the Taylor table serves
+        # |q| < 8, the series the rest
+        q = np.linspace(-100.0, 100.0, 2001)
+        assert np.all(np.isfinite(airy.ratio_on_ray(q)))
+        assert np.all(np.isfinite(airy.ai_scaled_on_ray(q)))
 
-        def record(w):
-            seen.append(np.max(np.abs(w)))
-            return real_airy(w)
 
-        def refuse(*args):
-            raise AssertionError("sp.airye called on the ray")
-        monkeypatch.setattr(airy.sp, "airy", record)
-        monkeypatch.setattr(airy.sp, "airye", refuse)
-        airy.ratio_on_ray(np.linspace(-100.0, 100.0, 2001))
-        assert seen and max(seen) < airy.RATIO_CROSSOVER
+def _ray_table_mpmath(q):
+    """(Ai(z) e^{(2/3) z^{3/2}}, Ai'(z)/Ai(z)) at z = e^{-i pi/3} q, 40 digits."""
+    with mp.workdps(40):
+        z = mp.exp(-1j*mp.pi/3)*mp.mpf(q)
+        ai = mp.airyai(z)
+        return (complex(ai*mp.exp(mp.mpf(2)/3*z**mp.mpf(1.5))),
+                complex(mp.airyai(z, derivative=1)/ai))
+
+
+class TestRayTable:
+    """Both ray kernels inside |q| < 8: the Taylor table of Ai near the ray."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # a dense grid, one ulp either side of every cell edge (j + 1/2)/2,
+        # and one ulp inside q = +-8
+        dense = np.linspace(-8.0, 8.0, 801)[1:-1]
+        edges = 0.5*(np.arange(-16, 16) + 0.5)
+        ends = np.nextafter([-8.0, 8.0], 0.0)
+        q = np.concatenate([dense, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf), ends])
+        assert np.all(np.abs(q) < airy.RATIO_CROSSOVER)
+        scaled, ratio = np.array([_ray_table_mpmath(v) for v in q]).T
+        return q, scaled, ratio
+
+    def test_ratio_matches_mpmath(self, grid, no_scipy_airy):
+        # measured: 8.8e-16
+        q, _, ref = grid
+        got = airy.ratio_on_ray(q)
+        assert np.all(np.abs(got - ref) <= 3e-15*np.abs(ref))
+
+    def test_scaled_value_matches_mpmath(self, grid, no_scipy_airy):
+        # measured: 3.2e-15 at q = 7.79, where the table's 0.8e-15 meets
+        # the rounding of the phase r = (2/3) q^{3/2} (2 ulp of r ~ 15)
+        q, ref, _ = grid
+        got = airy.ai_scaled_on_ray(q)
+        r = (2.0/3.0)*np.abs(q)**1.5
+        bound = 1.5e-15 + 2.0*np.spacing(r)
+        assert np.all(np.abs(got - ref) <= bound*np.abs(ref))
+
+    @pytest.mark.parametrize("q", [0.0, -0.25, 0.75, -3.3, 7.9])
+    def test_scalar_in_scalar_out(self, q):
+        for kernel in (airy.ai_scaled_on_ray, airy.ratio_on_ray):
+            got = kernel(q)
+            assert np.ndim(got) == 0
+            assert got == kernel(np.array([q]))[0]

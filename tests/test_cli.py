@@ -447,6 +447,13 @@ _VALUES = st.one_of(_LIST, _LIST, _RANGE, _RANGE,
 # TestArbitraryInput's route test then reach a quadrature
 _POSITIVE_LIST = st.lists(st.floats(1e-3, 8.0).map(repr), min_size=1,
                           max_size=3).map(",".join)
+# x for the oracle at k = 100, whose row takes 9 s at x = 1e4 and over 20 s
+# from x = 1e6 to 1e12: the value strategy's lists without the doubles of
+# 8 < |x| < 1e20, its ranges (|x| < 48) and its empty lists
+_ORACLE_VALUE = _VALUE.filter(lambda v: not 8.0 < abs(float(v)) < 1e20)
+_ORACLE_X = st.one_of(
+    st.lists(_ORACLE_VALUE, min_size=1, max_size=3).map(",".join), _RANGE,
+    st.sampled_from(["", ",", " , "]))
 _COMMANDS = {
     "ray trace": lambda v, k: ["ray", "trace", "--y=" + v[0]],
     "beam on-ray": lambda v, k: ["beam", "on-ray", "--x=" + v[0]],
@@ -469,6 +476,14 @@ class TestArbitraryInput:
     def test_exit_0_with_finite_rows_or_exit_1_with_one_line(self, command,
                                                              values, k):
         self._finite_rows_or_one_line(command(values, k), (0, 1))
+
+    # the oracle, and so the near branch of the ray's Airy kernel, on any x
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(x=_ORACLE_X)
+    def test_spectral_gives_finite_rows_or_one_line(self, x):
+        self._finite_rows_or_one_line(
+            ["graze", "w", "--x=" + x, "--k=100", "--method", "spectral"],
+            (0, 1, 2))
 
     # each example runs a quadrature per cell, so few examples and few k
     @pytest.mark.parametrize("method", ["u-integral", "z-integral"])
@@ -679,17 +694,39 @@ class TestLibraryRefusals:
             with pytest.raises(DomainError, match="finite"):
                 call(bad)
 
-    def test_cli_import_loads_no_ode_or_optimizer_module(self):
-        # scipy.integrate pulls in scipy.optimize: about 25 MB and 0.2 s
-        # more for every grazebeam process
+    @staticmethod
+    def _scipy_loaded_after(argv):
+        """The heavy scipy modules loaded by importing the CLI and, in the
+        same fresh interpreter, running ``argv`` if it is not empty."""
         src = os.path.dirname(os.path.dirname(grazebeam.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, grazebeam.cli; print(sorted(m for m in "
-                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        code = ("import contextlib, io, sys, grazebeam.cli\n"
+                "if sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert grazebeam.cli.main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
+                " 'scipy.special') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_loads_no_ode_or_optimizer_module(self):
+        # scipy.integrate pulls in scipy.optimize: about 25 MB and 0.2 s
+        # more for every grazebeam process; scipy.special about 20 MB and
+        # 0.2 s, which only AMOS and the Wright omega of a window need
+        assert self._scipy_loaded_after([]) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["ray", "trace", "--y=-1:1:1"],
+        ["beam", "field", "--x", "0", "--y", "0", "--t", "0", "--k", "10"],
+        ["graze", "reflected", "--x", "1"],
+        ["graze", "w", "--x", "1", "--method", "closed"],
+        ["graze", "w", "--x", "1", "--k", "100", "--method", "spectral"],
+        ["verify", "closedform"],
+    ], ids=" ".join)
+    def test_light_command_loads_no_scipy_special(self, argv):
+        assert self._scipy_loaded_after(argv) == "[]"
 
 
 class TestOutput:

@@ -311,7 +311,7 @@ class TestTruncationRadiusClosedForm:
             assert abs(R - bisected) <= 4*math.ulp(bisected)
 
     @pytest.mark.parametrize("args, pinned", [
-        # grazing._U_WINDOW
+        # grazing._u_window()
         ((1.0/32.0, 4, 1e-14), 5.559904759207713),
         # z-route at (x, k) = (1, 1e3) and (1, 1e5), tol 1e-9: the radius
         # of its oscillation bound and the integrated window (scale k^1/4)
